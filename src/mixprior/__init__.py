@@ -8,7 +8,6 @@ certify every map, a textual model-document format and a batch CLI.
 """
 
 from .coherence import (
-    CoherentPair,
     FeasibilityError,
     KRangeFeasibility,
     MixturePriorGroup,
@@ -50,9 +49,6 @@ from .distributions import (
     InvGamma,
     NormalPrec,
     NormalVar,
-    cdf,
-    log_pdf,
-    sample,
 )
 from .modelspec import (
     Diagnostic,

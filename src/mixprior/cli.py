@@ -13,11 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import (FeasibilityError, MixturePriorGroup, coherent_product,
-                        reverse_equal_gamma, reverse_equal_invgamma, reverse_equal_normal)
+from .coherence import FeasibilityError, MixturePriorGroup, coherent_product
 from .constraints import (CompanionMatrix, ConfigurationError, RejectionCapError,
                           StationarityProblem, is_stationary_msar2, sample_constrained_priors)
-from .distributions import Gamma, InvGamma, NormalPrec, NormalVar
+from .distributions import FAMILIES
 from .modelspec import ModelFormatError, ModelSpec, format_dist, format_model, parse_dist, parse_model
 from .plan import CoherencePlan, PlanError, build_family_model, check_plan, derive_pairings
 from .reports import canonical_json, to_human, to_machine
@@ -74,34 +73,17 @@ def _cmd_forward(args) -> int:
     return EXIT_OK
 
 
-_REVERSE_FLAGS = {
-    "normal": ("m1", "v1"),
-    "normal-prec": ("m1", "vprec1"),
-    "invgamma": ("a1", "b1"),
-    "gamma": ("a1", "b1"),
-}
+_REVERSE_FAMILIES = {cls.reverse_name: cls for cls in FAMILIES.values() if cls.reverse_name}
 
 
 def _cmd_reverse(args) -> int:
-    family = args.family
-    first_flag, second_flag = _REVERSE_FLAGS[family]
-    first = getattr(args, first_flag.replace("-", "_"))
-    second = getattr(args, second_flag.replace("-", "_"))
+    cls = _REVERSE_FAMILIES[args.family]
+    first_flag, second_flag = cls.reverse_flags
+    first, second = getattr(args, first_flag), getattr(args, second_flag)
     if first is None or second is None:
-        raise _InputError(f"--family {family} needs --{first_flag} and --{second_flag}")
+        raise _InputError(f"--family {args.family} needs --{first_flag} and --{second_flag}")
     k = args.k
-    if family == "normal":
-        m, v = reverse_equal_normal(first, second, k, "variance")
-        component = NormalVar(m, v)
-    elif family == "normal-prec":
-        m, p = reverse_equal_normal(first, second, k, "precision")
-        component = NormalPrec(m, p)
-    elif family == "invgamma":
-        a, b = reverse_equal_invgamma(first, second, k)
-        component = InvGamma(a, b)
-    else:
-        a, b = reverse_equal_gamma(first, second, k)
-        component = Gamma(a, b)
+    component = cls(*cls.reverse_map(first, second, k))
     if args.format == "machine":
         _emit(args, canonical_json({"schema": "v1", "report": "reverse", "k": k,
                                     "component": format_dist(component)}))
@@ -278,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("reverse", help="equal-hyperparameter components from a nested prior")
-    p.add_argument("--family", choices=sorted(_REVERSE_FLAGS), required=True)
+    p.add_argument("--family", choices=sorted(_REVERSE_FAMILIES), required=True)
     p.add_argument("--k", type=int, required=True, help="number of components")
     p.add_argument("--m1", type=float, help="nested normal mean")
     p.add_argument("--v1", type=float, help="nested normal variance")

@@ -13,15 +13,16 @@ All sums are accumulated with ``math.fsum`` so round-trip identities hold to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-from .distributions import DistSpec, Gamma, InvGamma, NormalPrec, NormalVar
+if TYPE_CHECKING:
+    # the family table in ``distributions`` refers to the maps defined here
+    from .distributions import DistSpec
 
 __all__ = [
     "FeasibilityError",
     "MixturePriorGroup",
-    "CoherentPair",
     "KRangeFeasibility",
     "coherent_normal_forward",
     "coherent_normal_prec_forward",
@@ -217,18 +218,6 @@ class MixturePriorGroup:
         return all(c == self.components[0] for c in self.components)
 
 
-def _hyperparams(dist: DistSpec) -> tuple[float, float]:
-    if isinstance(dist, NormalVar):
-        return dist.m, dist.v
-    if isinstance(dist, NormalPrec):
-        return dist.m, dist.vprec
-    if isinstance(dist, Gamma):
-        return dist.a_shape, dist.b_rate
-    if isinstance(dist, InvGamma):
-        return dist.a_shape, dist.b_scale
-    raise NotImplementedError(f"no scalar hyperparameters for family {dist.family!r}")
-
-
 def coherent_product(components: Sequence[DistSpec]) -> DistSpec:
     """Normalized product of same-family densities, as a distribution of that family."""
     comps = list(components)
@@ -237,33 +226,30 @@ def coherent_product(components: Sequence[DistSpec]) -> DistSpec:
     families = {c.family for c in comps}
     if len(families) != 1:
         raise ValueError(f"components must share one family, got {sorted(families)}")
-    family = comps[0].family
-    if family == "dirichlet":
+    cls = type(comps[0])
+    if cls.forward_map is None:
         raise NotImplementedError(
-            "no product-coherence convention exists for dirichlet priors"
+            f"no product-coherence convention exists for {cls.family} priors"
         )
-    pairs = [_hyperparams(c) for c in comps]
-    if family == "normal_var":
-        return NormalVar(*coherent_normal_forward(pairs))
-    if family == "normal_prec":
-        return NormalPrec(*coherent_normal_prec_forward(pairs))
-    if family == "gamma":
-        return Gamma(*coherent_gamma_forward(pairs))
-    if family == "inv_gamma":
-        return InvGamma(*coherent_invgamma_forward(pairs))
-    raise NotImplementedError(f"unsupported family {family!r}")
+    return cls(*cls.forward_map([c.params() for c in comps]))
 
 
-def _reverse_component(dist: DistSpec, k: int) -> DistSpec:
-    if isinstance(dist, NormalVar):
-        return NormalVar(*reverse_equal_normal(dist.m, dist.v, k, "variance"))
-    if isinstance(dist, NormalPrec):
-        return NormalPrec(*reverse_equal_normal(dist.m, dist.vprec, k, "precision"))
-    if isinstance(dist, Gamma):
-        return Gamma(*reverse_equal_gamma(dist.a_shape, dist.b_rate, k))
-    if isinstance(dist, InvGamma):
-        return InvGamma(*reverse_equal_invgamma(dist.a_shape, dist.b_scale, k))
-    raise NotImplementedError(f"no reverse map for family {dist.family!r}")
+def _equal_group(dist: DistSpec, k: int, label: str, ordered: bool = False) -> MixturePriorGroup:
+    """K identical components whose coherent product is ``dist``.
+
+    Feasibility failures are re-raised annotated with K and the parameter label.
+    """
+    cls = type(dist)
+    if cls.reverse_map is None:
+        raise NotImplementedError(f"no reverse map for family {dist.family!r}")
+    try:
+        component = cls(*cls.reverse_map(*dist.params(), k))
+    except FeasibilityError as err:
+        raise FeasibilityError(
+            f"prior {label!r} is infeasible at K={k}: {err}",
+            k=k, bound=err.bound, value=err.value,
+        ) from err
+    return MixturePriorGroup(components=(component,) * k, ordered=ordered, label=label)
 
 
 def coherent_family(nested: Sequence[DistSpec], ks: Sequence[int],
@@ -283,42 +269,5 @@ def coherent_family(nested: Sequence[DistSpec], ks: Sequence[int],
     for k in sorted({int(k) for k in ks}):
         if k < 2:
             raise ValueError(f"every K must be >= 2, got {k}")
-        groups = []
-        for label, dist in zip(labels, nested):
-            try:
-                component = _reverse_component(dist, k)
-            except FeasibilityError as err:
-                raise FeasibilityError(
-                    f"prior {label!r} is infeasible at K={k}: {err}",
-                    k=k, bound=err.bound, value=err.value,
-                ) from err
-            groups.append(MixturePriorGroup(components=(component,) * k, label=label))
-        out[k] = groups
+        out[k] = [_equal_group(dist, k, label) for label, dist in zip(labels, nested)]
     return out
-
-
-@dataclass(frozen=True)
-class CoherentPair:
-    """A nested prior together with a mixture group whose product equals it."""
-
-    nested: DistSpec
-    mixture: MixturePriorGroup
-    tol: float = field(default=1e-12, compare=False)
-
-    def __post_init__(self):
-        if self.mixture.k < 2:
-            raise ValueError("the mixture side needs K >= 2 components")
-        if self.nested.family != self.mixture.family:
-            raise ValueError(
-                f"family mismatch: nested {self.nested.family!r} vs "
-                f"mixture {self.mixture.family!r}"
-            )
-        implied = coherent_product(self.mixture.components)
-        got = _hyperparams(implied)
-        want = _hyperparams(self.nested)
-        err = max(abs(g - w) for g, w in zip(got, want))
-        if err > self.tol:
-            raise ValueError(
-                f"nested prior {self.nested} is not the coherent product "
-                f"{implied} (max hyperparameter discrepancy {err:.3g})"
-            )

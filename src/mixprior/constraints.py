@@ -105,8 +105,12 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
     rows: list[np.ndarray] = []
     accepted = 0
     attempts = 0
+    # one row starts from a small batch that doubles on every miss; sized
+    # calls keep the fixed floor their seeded streams depend on
+    floor = 4 if size is None else 1024
     while accepted < n:
-        batch = min(max(4 * (n - accepted), 1024), max_attempts - attempts)
+        batch = min(max(4 * (n - accepted), floor), max_attempts - attempts)
+        floor = min(2 * floor, 1024)
         if batch <= 0:
             rate = accepted / attempts if attempts else 0.0
             raise RejectionCapError(

@@ -13,15 +13,26 @@ forms:
 All descriptors are immutable; invalid hyperparameters are rejected at
 construction, never clamped.  Samplers draw only from the generator passed in
 by the caller, so concurrent use requires distinct generator instances.
+
+Each family class is also the one row of the family table :data:`FAMILIES`:
+its literal name and field names in model documents, ``params()`` in that
+order, its closed-form coherence maps and its CLI ``reverse`` name and flags.
+The document parser and formatter, ``coherent_product``, the equal-component
+expansion, the plan checks and the CLI all read these attributes, so a new
+family is one class here plus its tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .coherence import (coherent_gamma_forward, coherent_invgamma_forward,
+                        coherent_normal_forward, coherent_normal_prec_forward,
+                        reverse_equal_gamma, reverse_equal_invgamma, reverse_equal_normal)
 from .special import reg_lower_incomplete_gamma, standard_normal_cdf
 
 __all__ = [
@@ -31,9 +42,7 @@ __all__ = [
     "Gamma",
     "InvGamma",
     "Dirichlet",
-    "log_pdf",
-    "cdf",
-    "sample",
+    "FAMILIES",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -61,8 +70,20 @@ def _maybe_scalar(arr):
 class DistSpec:
     """Base class for the tagged distribution descriptors."""
 
-    family: str = ""
+    family: str = ""  # literal name in model documents
+    literal_fields: tuple[str, ...] = ()  # literal field names, in params() order
     support: tuple[float, float] = (-math.inf, math.inf)
+    # K (first, second) hyperparameter pairs -> the pair of their coherent product
+    forward_map = None
+    # (first, second, K) of a nested prior -> the pair of each of K equal components
+    reverse_map = None
+    # ``mixprior reverse --family`` name and the flags of the nested pair
+    reverse_name: str | None = None
+    reverse_flags: tuple[str, ...] = ()
+
+    def params(self) -> tuple:
+        """Hyperparameters in ``literal_fields`` order; each ``repr`` is its literal value."""
+        raise NotImplementedError(f"no literal form for {self!r}")
 
     def log_pdf(self, x):
         raise NotImplementedError
@@ -85,10 +106,18 @@ class NormalVar(DistSpec):
     v: float
 
     family = "normal_var"
+    literal_fields = ("m", "v")
+    forward_map = staticmethod(coherent_normal_forward)
+    reverse_map = partial(reverse_equal_normal, parametrization="variance")
+    reverse_name = "normal"
+    reverse_flags = ("m1", "v1")
 
     def __post_init__(self):
         object.__setattr__(self, "m", _require_finite("m", self.m))
         object.__setattr__(self, "v", _require_positive("v", self.v))
+
+    def params(self):
+        return self.m, self.v
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -114,10 +143,18 @@ class NormalPrec(DistSpec):
     vprec: float
 
     family = "normal_prec"
+    literal_fields = ("m", "vprec")
+    forward_map = staticmethod(coherent_normal_prec_forward)
+    reverse_map = partial(reverse_equal_normal, parametrization="precision")
+    reverse_name = "normal-prec"
+    reverse_flags = ("m1", "vprec1")
 
     def __post_init__(self):
         object.__setattr__(self, "m", _require_finite("m", self.m))
         object.__setattr__(self, "vprec", _require_positive("vprec", self.vprec))
+
+    def params(self):
+        return self.m, self.vprec
 
     @property
     def variance(self) -> float:
@@ -147,11 +184,19 @@ class Gamma(DistSpec):
     b_rate: float
 
     family = "gamma"
+    literal_fields = ("a_breve", "b_breve")
     support = (0.0, math.inf)
+    forward_map = staticmethod(coherent_gamma_forward)
+    reverse_map = staticmethod(reverse_equal_gamma)
+    reverse_name = "gamma"
+    reverse_flags = ("a1", "b1")
 
     def __post_init__(self):
         object.__setattr__(self, "a_shape", _require_positive("a_shape", self.a_shape))
         object.__setattr__(self, "b_rate", _require_positive("b_rate", self.b_rate))
+
+    def params(self):
+        return self.a_shape, self.b_rate
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,11 +229,19 @@ class InvGamma(DistSpec):
     b_scale: float
 
     family = "inv_gamma"
+    literal_fields = ("a", "b")
     support = (0.0, math.inf)
+    forward_map = staticmethod(coherent_invgamma_forward)
+    reverse_map = staticmethod(reverse_equal_invgamma)
+    reverse_name = "invgamma"
+    reverse_flags = ("a1", "b1")
 
     def __post_init__(self):
         object.__setattr__(self, "a_shape", _require_positive("a_shape", self.a_shape))
         object.__setattr__(self, "b_scale", _require_positive("b_scale", self.b_scale))
+
+    def params(self):
+        return self.a_shape, self.b_scale
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -223,6 +276,7 @@ class Dirichlet(DistSpec):
     d: tuple[float, ...]
 
     family = "dirichlet"
+    literal_fields = ("d",)
 
     def __post_init__(self):
         d = tuple(float(v) for v in np.asarray(self.d, dtype=float).ravel())
@@ -232,6 +286,9 @@ class Dirichlet(DistSpec):
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"d[{i}] must be a positive finite number, got {v}")
         object.__setattr__(self, "d", d)
+
+    def params(self):
+        return (list(self.d),)  # a list, so the literal prints in brackets
 
     @property
     def dim(self) -> int:
@@ -262,16 +319,8 @@ class Dirichlet(DistSpec):
         return d / d.sum()
 
 
-def log_pdf(dist: DistSpec, x):
-    """Natural-log density of ``dist`` at ``x``."""
-    return dist.log_pdf(x)
 
-
-def cdf(dist: DistSpec, x):
-    """CDF of ``dist`` at ``x`` (unsupported for Dirichlet)."""
-    return dist.cdf(x)
-
-
-def sample(dist: DistSpec, rng: np.random.Generator, size=None):
-    """Draw from ``dist`` using the caller-supplied generator."""
-    return dist.sample(rng, size)
+# the family table: literal name -> family class
+FAMILIES: dict[str, type[DistSpec]] = {
+    cls.family: cls for cls in (NormalVar, NormalPrec, Gamma, InvGamma, Dirichlet)
+}

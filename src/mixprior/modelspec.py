@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass, field
 
 from .coherence import MixturePriorGroup
-from .constraints import OrderingConstraint
-from .distributions import Dirichlet, DistSpec, Gamma, InvGamma, NormalPrec, NormalVar
+from .constraints import REGULARITY_KINDS, OrderingConstraint
+from .distributions import FAMILIES, Dirichlet, DistSpec
 
 __all__ = [
     "Diagnostic",
@@ -32,23 +32,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("single", "mixture", "markov_switching")
-REGULARITY_KINDS = ("none", "ar2_stationarity", "msar2_stationarity")
 INITIAL_STATE_NAMES = ("uniform", "ergodic")
-
-_FAMILY_FIELDS = {
-    "normal_var": ("m", "v"),
-    "normal_prec": ("m", "vprec"),
-    "gamma": ("a_breve", "b_breve"),
-    "inv_gamma": ("a", "b"),
-    "dirichlet": ("d",),
-}
-_FAMILY_TYPES = {
-    "normal_var": NormalVar,
-    "normal_prec": NormalPrec,
-    "gamma": Gamma,
-    "inv_gamma": InvGamma,
-    "dirichlet": Dirichlet,
-}
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _ENTRY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)$")
@@ -227,9 +211,10 @@ def parse_dist(text: str) -> DistSpec:
     if not match:
         raise ValueError(f"not a distribution literal: {text!r}")
     family, body = match.group(1), match.group(2)
-    fields = _FAMILY_FIELDS.get(family)
-    if fields is None:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_FIELDS)}")
+    cls = FAMILIES.get(family)
+    if cls is None:
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
+    fields = cls.literal_fields
     seen: dict[str, object] = {}
     for part in _split_top_level(body):
         if "=" not in part:
@@ -247,23 +232,19 @@ def parse_dist(text: str) -> DistSpec:
     missing = [f for f in fields if f not in seen]
     if missing:
         raise ValueError(f"{family} is missing hyperparameters {missing}")
-    return _FAMILY_TYPES[family](*(seen[f] for f in fields))
+    return cls(*(seen[f] for f in fields))
+
+
+# family -> "family(field=%r, ...)", filled with params()
+_LITERAL_TEMPLATES = {
+    family: f"{family}(" + ", ".join(f"{name}=%r" for name in cls.literal_fields) + ")"
+    for family, cls in FAMILIES.items()
+}
 
 
 def format_dist(dist: DistSpec) -> str:
     """Canonical literal for one distribution."""
-    if isinstance(dist, NormalVar):
-        return f"normal_var(m={dist.m!r}, v={dist.v!r})"
-    if isinstance(dist, NormalPrec):
-        return f"normal_prec(m={dist.m!r}, vprec={dist.vprec!r})"
-    if isinstance(dist, Gamma):
-        return f"gamma(a_breve={dist.a_shape!r}, b_breve={dist.b_rate!r})"
-    if isinstance(dist, InvGamma):
-        return f"inv_gamma(a={dist.a_shape!r}, b={dist.b_scale!r})"
-    if isinstance(dist, Dirichlet):
-        inner = ", ".join(repr(v) for v in dist.d)
-        return f"dirichlet(d=[{inner}])"
-    raise NotImplementedError(f"no literal form for {dist!r}")
+    return _LITERAL_TEMPLATES[dist.family] % dist.params()
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +328,7 @@ def parse_model(text: str) -> ModelSpec:
         lineno, raw = model_kv["k"]
         lines["model.k"] = lineno
         value = _parse_number(raw)
-        if value is None or value != int(value):
+        if value is None or not value.is_integer():
             diags.append(Diagnostic(lineno, "model.k", f"must be an integer, got {raw!r}"))
         else:
             k = int(value)

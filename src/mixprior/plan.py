@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coherence import MixturePriorGroup, coherent_product, _hyperparams, _reverse_component
+from .coherence import MixturePriorGroup, _equal_group, coherent_product
 from .distributions import Dirichlet, DistSpec
 from .modelspec import ModelSpec
 
@@ -121,7 +121,7 @@ def _dist_discrepancy(a: DistSpec, b: DistSpec) -> float:
         if a.dim != b.dim:
             raise PlanError(f"dirichlet dimension mismatch: {a.dim} vs {b.dim}")
         return max(abs(x - y) for x, y in zip(a.d, b.d))
-    return max(abs(x - y) for x, y in zip(_hyperparams(a), _hyperparams(b)))
+    return max(abs(x - y) for x, y in zip(a.params(), b.params()))
 
 
 def _check_pairing(pairing: Pairing, nested: ModelSpec, general: ModelSpec,
@@ -205,11 +205,8 @@ def build_family_model(nested: ModelSpec, k: int, kind: str = "markov_switching"
     if kind not in ("mixture", "markov_switching"):
         raise ValueError(f"kind must be mixture or markov_switching, got {kind!r}")
 
-    groups = {}
-    for label, group in nested.groups.items():
-        component = _reverse_component(group.components[0], k)
-        groups[label] = MixturePriorGroup(components=(component,) * k, ordered=group.ordered,
-                                          label=label)
+    groups = {label: _equal_group(group.components[0], k, label, ordered=group.ordered)
+              for label, group in nested.groups.items()}
     rows = k if kind == "markov_switching" else 1
     eta = tuple(Dirichlet(d=(float(eta_concentration),) * k) for _ in range(rows))
     regularity = nested.regularity

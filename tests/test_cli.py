@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mixprior.cli import build_parser, main
+from mixprior.distributions import FAMILIES
 
 SUBCOMMANDS = ["forward", "reverse", "family", "verify", "check-plan", "stationarity", "sample"]
 
@@ -68,6 +69,12 @@ def test_reverse_infeasible_exits_one_citing_bound(capsys):
 def test_reverse_missing_flag_is_input_error(capsys):
     rc = main(["reverse", "--family", "normal", "--k", "2", "--m1", "0"])
     assert rc == 2
+    # the --family choices and the nested-prior flags are those of the family table
+    reverse = build_parser()._subparsers._group_actions[0].choices["reverse"]
+    actions = {a.dest: a for a in reverse._actions}
+    table = {cls.reverse_name: cls.reverse_flags for cls in FAMILIES.values() if cls.reverse_name}
+    assert (actions["family"].choices, {d for d, a in actions.items() if a.type is float}) == (
+        sorted(table), {flag for flags in table.values() for flag in flags})
 
 
 def test_family_then_check_plan(tmp_path, model_paths, capsys):
@@ -156,6 +163,19 @@ def test_missing_file_is_input_error(capsys):
     rc = main(["check-plan", "--nested", "/nonexistent.model", "--general", "/also-missing"])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["inf", "nan"])
+def test_non_finite_k_documents_are_input_errors(k, tmp_path, model_paths, capsys):
+    doc = tmp_path / "bad.model"
+    doc.write_text(open(model_paths["msiah2"]).read().replace("k = 2", f"k = {k}"))
+    for argv in (["stationarity", "--model", str(doc)],
+                 ["sample", "--model", str(doc)],
+                 ["family", "--model", str(doc), "--k-range", "2:3"],
+                 ["check-plan", "--nested", model_paths["ar2"], "--general", str(doc)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "model.k" in err, (argv, err)
 
 
 def test_malformed_document_is_input_error(tmp_path, capsys):

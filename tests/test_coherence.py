@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixprior import (
-    CoherentPair,
     FeasibilityError,
     Gamma,
     InvGamma,
@@ -27,6 +26,7 @@ from mixprior import (
     reverse_equal_invgamma,
     reverse_equal_normal,
 )
+from mixprior.distributions import FAMILIES
 
 positive = st.floats(1e-3, 1e3)
 means = st.floats(-100, 100)
@@ -232,13 +232,16 @@ def test_family_propagates_invgamma_bound_with_label():
 
 
 def test_family_round_trips_through_product():
-    nested = [NormalVar(0.5, 2.0), NormalPrec(-1.0, 4.0), Gamma(2.5, 1.5), InvGamma(9.0, 0.3)]
+    # every family of the table with a reverse map; the shapes clear a1 > K - 1 for K <= 5
+    families = [cls for cls in FAMILIES.values() if cls.reverse_map is not None]
+    assert {cls.family for cls in families} == {"normal_var", "normal_prec", "gamma", "inv_gamma"}
+    nested = [cls(9.0 - 0.5 * i, 0.3 + i) for i, cls in enumerate(families)]
     for k, groups in coherent_family(nested, ks={2, 3, 5}).items():
         for dist, group in zip(nested, groups):
             assert group.k == k
             implied = coherent_product(group.components)
             assert type(implied) is type(dist)
-            CoherentPair(nested=dist, mixture=group)  # construction re-checks the map
+            assert max(abs(x - y) for x, y in zip(implied.params(), dist.params())) <= 1e-12
 
 
 def test_oracle_equivalence_fifty_randomized_draws_per_family():
@@ -277,10 +280,3 @@ def test_group_rejects_ordered_dirichlet():
 def test_group_rejects_dirichlet_dim_mismatch():
     with pytest.raises(ValueError):
         MixturePriorGroup(components=(Dirichlet((1, 1)), Dirichlet((1, 1, 1))))
-
-
-def test_coherent_pair_rejects_wrong_nested():
-    group = MixturePriorGroup(components=(NormalVar(0, 1), NormalVar(0, 1)))
-    with pytest.raises(ValueError):
-        CoherentPair(nested=NormalVar(0.0, 1.0), mixture=group)
-    CoherentPair(nested=NormalVar(0.0, 0.5), mixture=group)

@@ -85,6 +85,49 @@ def test_sample_ordered_heterogeneous_outputs_are_ordered():
     assert np.all(np.diff(draws, axis=1) >= 0.0)
 
 
+class _CountingRng:
+    """Forwards ``normal`` to a generator and records every requested size."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return self.rng.normal(loc, scale, size)
+
+
+def test_sample_ordered_one_row_draws_a_few_variates():
+    # acceptance is about 0.76, so a row needs a handful of proposals, not 1024
+    group = MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(1.0, 1.0)), ordered=True)
+    for seed in range(50):
+        rng = _CountingRng(seed)
+        draw = sample_ordered(group, rng)
+        assert draw.shape == (2,) and draw[0] <= draw[1]
+        assert sum(rng.sizes) <= 2 * 64, rng.sizes  # both components together
+
+
+def test_sample_ordered_sized_streams_are_pinned():
+    # values of the fixed sized-call batch rule; the Monte Carlo band check draws these streams
+    group = MixturePriorGroup(
+        components=(NormalVar(0.5, 1.0), NormalVar(0.0, 2.0), NormalVar(-0.2, 0.5)), ordered=True)
+    pinned = {
+        (3, 4): [[0.10919902276534527, 0.5471623766411983, 1.1810412455900168],
+                 [-1.534167273443428, -0.5097876930120673, -0.045042362838924904],
+                 [-0.6912266816177808, 0.16619304396201656, 0.5465835172338174],
+                 [-0.7490970090955427, -0.06304438760747086, 1.3089218130006093]],
+        (11, 6): [[-1.0143835037313955, -0.2855583427632837, -0.12449301721255476],
+                  [-0.23879003147580646, 0.3215623298460397, 0.5052900680101315],
+                  [-0.37626168874420773, 0.011645717361764929, 0.1706671634657252],
+                  [0.406139219813656, 0.42316680337001933, 0.8708090330054725],
+                  [-0.784916570539673, -0.34132224081333556, 0.0440159865537158],
+                  [0.013824332858566657, 0.49872820235736054, 0.7822281279419354]],
+    }
+    for (seed, n), rows in pinned.items():
+        draws = sample_ordered(group, np.random.default_rng(seed), size=n)
+        assert draws.tolist() == rows
+
+
 def test_sample_ordered_cap_exhaustion():
     # reversed means make acceptance astronomically small
     group = MixturePriorGroup(

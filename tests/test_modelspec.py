@@ -1,7 +1,7 @@
 """Model document parsing: valid corpus, rejecting documents, round trips, fuzz."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixprior import (
@@ -14,6 +14,7 @@ from mixprior import (
     parse_dist,
     parse_model,
 )
+from mixprior.distributions import FAMILIES
 
 
 def test_parse_switching_ar2_document(msiah2_doc):
@@ -245,15 +246,14 @@ def test_round_trip_of_corpus(ar2_doc, msiah2_doc, msi2_doc):
 
 
 def test_dist_literal_round_trip():
-    literals = [
-        "normal_var(m=0.0, v=1.0)",
-        "normal_prec(m=-2.5, vprec=0.125)",
-        "gamma(a_breve=2.0, b_breve=0.5)",
-        "inv_gamma(a=9.0, b=0.0625)",
-        "dirichlet(d=[4.0, 1.0, 2.0])",
-    ]
-    for text in literals:
-        assert format_dist(parse_dist(text)) == text
+    # one canonical literal per family of the table, built from its literal field names
+    for family, cls in FAMILIES.items():
+        values = ["[4.0, 1.0, 2.0]" if name == "d" else repr(0.0625 * 2 ** i)
+                  for i, name in enumerate(cls.literal_fields)]
+        text = f"{family}(" + ", ".join(f"{n}={v}" for n, v in zip(cls.literal_fields, values)) + ")"
+        dist = parse_dist(text)
+        assert type(dist) is cls
+        assert format_dist(dist) == text
 
 
 def test_dist_literal_errors():
@@ -263,10 +263,25 @@ def test_dist_literal_errors():
             parse_dist(bad)
 
 
+def _k_document(k: str) -> tuple[str, bool]:
+    # a single-component model is valid only at k = 1, so any other k must be blamed
+    return f"[model]\nname = m\nkind = single\nk = {k}\n", True
+
+
+_K_TEXTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.just("1e400"))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=400))
-def test_parser_is_total_on_arbitrary_text(text):
+@given(st.one_of(st.tuples(st.text(max_size=400), st.just(False)), _K_TEXTS.map(_k_document)))
+@example(_k_document("inf"))
+@example(_k_document("-inf"))
+@example(_k_document("nan"))
+@example(_k_document("1e400"))
+def test_parser_is_total_on_arbitrary_text(case):
+    text, blames_k = case
     try:
-        parse_model(text)
-    except ModelFormatError:
-        pass  # the only acceptable failure mode
+        model = parse_model(text)
+    except ModelFormatError as err:  # the only acceptable failure mode
+        assert not blames_k or any(d.path == "model.k" for d in err.diagnostics)
+    else:
+        assert not blames_k or model.k == 1
