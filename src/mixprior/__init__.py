@@ -37,7 +37,6 @@ from .constraints import (
     is_stationary_ar2,
     is_stationary_msar2,
     regularity_indicator,
-    sample_constrained_prior,
     sample_constrained_priors,
     sample_ordered,
     spectral_radius,

@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
+# largest K that `stationarity --model` checks: its 4K x 4K matrix is then 8 MiB
+MAX_STATIONARITY_K = 256
+
 
 class _InputError(Exception):
     pass
@@ -173,6 +176,9 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def _problem_from_model(model: ModelSpec) -> StationarityProblem:
     # evaluate the regularity statistic at the prior mean point
+    if model.k > MAX_STATIONARITY_K:
+        raise _InputError(f"model.k: the stationarity check builds a 4K x 4K matrix and takes "
+                          f"K <= {MAX_STATIONARITY_K}, got k = {model.k}")
     def regime_means(name: str) -> np.ndarray:
         group = model.groups.get(name)
         if group is not None:

@@ -5,6 +5,13 @@ equal-components diagonal stays inside the constrained support), the
 second-order stationarity check for Markov-switching AR(2) models through
 the block matrix built from transition probabilities and squared companion
 matrices, and rejection sampling from constrained priors.
+
+The rejection sampler draws and checks candidates in blocks of arrays: one
+sized draw per prior, one regularity mask per block and, for switching
+models, one batched eigensolve over the stack of block matrices.  Its
+acceptance rate is ``n`` over the candidates up to and including the n-th
+accepted one, so the rate keeps its negative-binomial law whatever the
+block sizes were.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ __all__ = [
     "is_stationary_msar2",
     "is_stationary_ar2",
     "regularity_indicator",
-    "sample_constrained_prior",
     "sample_constrained_priors",
 ]
 
@@ -184,13 +190,8 @@ def build_p2(problem: StationarityProblem) -> np.ndarray:
     ``p[c, r] * kron(Phi_r, Phi_r)``; with all regimes equal this reduces to
     ``kron(p.T, kron(Phi, Phi))``.
     """
-    k = problem.k
-    out = np.zeros((4 * k, 4 * k))
-    kron_blocks = [np.kron(reg.as_array(), reg.as_array()) for reg in problem.regimes]
-    for r in range(k):
-        for c in range(k):
-            out[4 * r:4 * r + 4, 4 * c:4 * c + 4] = problem.p[c, r] * kron_blocks[r]
-    return out
+    phi = np.array([[reg.phi1, reg.phi2] for reg in problem.regimes])
+    return _p2_stack(problem.p[None], phi[None, :, 0], phi[None, :, 1])[0]
 
 
 def _gelfand(a: np.ndarray, tol: float, max_iter: int):
@@ -305,97 +306,173 @@ def is_stationary_ar2(phi1: float, phi2: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ParameterDraw:
-    """One point from a model's prior: common parameters, group vectors, transition rows."""
+    """One point from a model's prior: common parameters, group vectors, transition rows.
+
+    Inside the sampler a *block* of m candidates has the same form, with a
+    leading candidate axis on every value: delta ``(m,)``, groups ``(m, K)``
+    and eta ``(m, rows, K)``.
+    """
 
     delta: dict
     groups: dict
     eta: np.ndarray | None = None
 
 
-def _scalar_value(model: "ModelSpec", draw: ParameterDraw, name: str) -> float:
-    if name in draw.delta:
-        return float(draw.delta[name])
-    if name in draw.groups:
-        values = np.asarray(draw.groups[name], dtype=float).ravel()
-        if values.size != 1:
-            raise ConfigurationError(
-                f"parameter {name!r} switches across {values.size} regimes; "
-                "the nested stationarity constraint needs a scalar"
-            )
-        return float(values[0])
-    raise ConfigurationError(f"model {model.name!r} does not define parameter {name!r}")
+# working-set budget of one sampler block: with the estimate of _block_cap, a
+# block of 8x8 stationarity matrices (K = 2) holds at most ~1200 candidates,
+# one of 12x12 matrices (K = 3) ~600
+_BLOCK_BYTES = 1 << 20
 
 
-def _regime_values(model: "ModelSpec", draw: ParameterDraw, name: str, k: int) -> np.ndarray:
-    if name in draw.groups:
-        values = np.asarray(draw.groups[name], dtype=float).ravel()
-        if values.size == k:
-            return values
-        if values.size == 1:
-            return np.full(k, values[0])
-        raise ConfigurationError(f"parameter {name!r} has {values.size} values, expected {k}")
-    if name in draw.delta:
-        return np.full(k, float(draw.delta[name]))
-    raise ConfigurationError(f"model {model.name!r} does not define parameter {name!r}")
+def _block_cap(model: "ModelSpec") -> int:
+    """Most candidates per block: the budget over a candidate's bytes, drawn and checked."""
+    values = len(model.delta_priors) + sum(row.dim for row in model.eta_prior or ())
+    for group in model.groups.values():
+        # a heterogeneous ordered group proposes about four rows per candidate
+        values += group.k * (8 if group.ordered and not group.identical else 1)
+    if model.regularity == "ar2_stationarity":
+        values += 12  # temporaries of the closed-form companion radius
+    elif model.regularity == "msar2_stationarity":
+        # Kronecker squares, the 4K x 4K stack, its finiteness mask and eigenvalues
+        values += 20 * model.k * model.k + 8 * model.k
+    return max(1, _BLOCK_BYTES // (8 * values))
 
 
-def regularity_indicator(model: "ModelSpec", draw: ParameterDraw) -> bool:
-    """Evaluate the model's regularity constraint at one parameter point.
-
-    Membership is tested in [0, 1): the constrained statistic is the AR(2)
-    companion radius for nested and intermediate models and the block-matrix
-    radius for fully switching models.
-    """
-    kind = model.regularity
-    if kind == "none":
-        return True
-    if kind == "ar2_stationarity":
-        phi1 = _scalar_value(model, draw, "phi1")
-        phi2 = _scalar_value(model, draw, "phi2")
-        return bool(companion_spectral_radius(phi1, phi2) < 1.0)
-    if kind == "msar2_stationarity":
-        if model.kind != "markov_switching" or draw.eta is None:
-            raise ConfigurationError(
-                "msar2_stationarity needs a markov_switching model with transition rows"
-            )
-        k = model.k
-        phi1 = _regime_values(model, draw, "phi1", k)
-        phi2 = _regime_values(model, draw, "phi2", k)
-        regimes = tuple(CompanionMatrix(phi1[i], phi2[i]) for i in range(k))
-        problem = StationarityProblem(p=np.asarray(draw.eta, dtype=float), regimes=regimes)
-        return bool(spectral_radius(build_p2(problem)) < 1.0)
-    raise ConfigurationError(f"unknown regularity kind {kind!r}")
-
-
-def _draw_prior_point(model: "ModelSpec", rng: np.random.Generator) -> ParameterDraw:
-    delta = {name: dist.sample(rng) for name, dist in model.delta_priors.items()}
+def _draw_block(model: "ModelSpec", m: int, rng: np.random.Generator) -> ParameterDraw:
+    delta = {name: np.asarray(dist.sample(rng, size=m), dtype=float)
+             for name, dist in model.delta_priors.items()}
     groups = {}
     for label, group in model.groups.items():
         if group.ordered:
-            groups[label] = np.asarray(sample_ordered(group, rng), dtype=float)
+            groups[label] = np.asarray(sample_ordered(group, rng, size=m), dtype=float)
         else:
-            groups[label] = np.asarray([c.sample(rng) for c in group.components], dtype=float)
+            groups[label] = np.stack(
+                [np.asarray(c.sample(rng, size=m), dtype=float) for c in group.components], axis=1)
     eta = None
     if model.eta_prior is not None:
-        eta = np.vstack([row.sample(rng) for row in model.eta_prior])
+        eta = np.stack([row.sample(rng, size=m) for row in model.eta_prior], axis=1)
     return ParameterDraw(delta=delta, groups=groups, eta=eta)
 
 
-def sample_constrained_prior(model: "ModelSpec", rng: np.random.Generator,
-                             max_attempts: int = DEFAULT_REJECTION_CAP):
-    """One draw from the model's constrained prior, with the empirical acceptance rate."""
-    draws, rate = sample_constrained_priors(model, 1, rng, max_attempts=max_attempts)
-    return draws[0], rate
+def _common_values(model: "ModelSpec", block: ParameterDraw, name: str) -> np.ndarray:
+    """``(m,)`` values of a parameter that must not switch."""
+    if name in block.delta:
+        return block.delta[name]
+    if name in block.groups:
+        values = block.groups[name]
+        if values.shape[1] != 1:
+            raise ConfigurationError(
+                f"parameter {name!r} switches across {values.shape[1]} regimes; "
+                "the nested stationarity constraint needs a scalar"
+            )
+        return values[:, 0]
+    raise ConfigurationError(f"model {model.name!r} does not define parameter {name!r}")
+
+
+def _values_by_regime(model: "ModelSpec", block: ParameterDraw, name: str, k: int) -> np.ndarray:
+    """``(m, k)`` values of a parameter, a common one repeated across the regimes."""
+    if name in block.groups:
+        values = block.groups[name]
+        if values.shape[1] not in (1, k):
+            raise ConfigurationError(
+                f"parameter {name!r} has {values.shape[1]} values, expected {k}")
+        return np.broadcast_to(values, (values.shape[0], k))
+    if name in block.delta:
+        values = block.delta[name]
+        return np.broadcast_to(values[:, None], (values.shape[0], k))
+    raise ConfigurationError(f"model {model.name!r} does not define parameter {name!r}")
+
+
+def _p2_stack(p: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """``(m, 4K, 4K)`` stationarity matrices from ``p`` ``(m, K, K)`` and ``phi`` ``(m, K)``.
+
+    Block (r, c) is ``p[c, r] * kron(Phi_r, Phi_r)``, each entry the product
+    ``p * (a * b)`` as ``np.kron`` and a scalar multiple compute it.  The
+    products are broadcast rather than summed by ``einsum``, whose zero
+    start would turn a ``-0.0`` entry into ``+0.0``.
+    """
+    m, k = phi1.shape
+    companion = np.zeros((m, k, 2, 2))
+    companion[..., 0, 0] = phi1
+    companion[..., 0, 1] = phi2
+    companion[..., 1, 0] = 1.0
+    # squares[m, r, i, k, j, l] = Phi_r[i, j] * Phi_r[k, l], i.e. kron(Phi_r, Phi_r)
+    squares = companion[:, :, :, None, :, None] * companion[:, :, None, :, None, :]
+    squares = squares.reshape(m, k, 4, 1, 4)
+    # stack[m, r, a, c, b] = p[m, c, r] * squares[m, r, a, b]
+    stack = p.transpose(0, 2, 1)[:, :, None, :, None] * squares
+    return stack.reshape(m, 4 * k, 4 * k)
+
+
+def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarray:
+    """Which of the block's ``m`` candidates satisfy the model's regularity constraint.
+
+    Membership is tested in [0, 1): the constrained statistic is the AR(2)
+    companion radius for nested and intermediate models and the block-matrix
+    radius, from one batched eigensolve, for fully switching models.  Random
+    continuous draws give a defective matrix with probability zero, so the
+    eigenvalues are accurate to rounding.
+    """
+    kind = model.regularity
+    if kind == "none":
+        return np.ones(m, dtype=bool)
+    if kind == "ar2_stationarity":
+        phi1 = _common_values(model, block, "phi1")
+        phi2 = _common_values(model, block, "phi2")
+        return companion_spectral_radius(phi1, phi2) < 1.0
+    if kind == "msar2_stationarity":
+        k = model.k
+        if model.kind != "markov_switching" or block.eta is None or block.eta.shape[1:] != (k, k):
+            raise ConfigurationError(
+                "msar2_stationarity needs a markov_switching model with transition rows"
+            )
+        stack = _p2_stack(block.eta, _values_by_regime(model, block, "phi1", k),
+                          _values_by_regime(model, block, "phi2", k))
+        return np.abs(np.linalg.eigvals(stack)).max(axis=-1) < 1.0
+    raise ConfigurationError(f"unknown regularity kind {kind!r}")
+
+
+def regularity_indicator(model: "ModelSpec", draw: ParameterDraw) -> bool:
+    """Evaluate the model's regularity constraint at one parameter point (a block of one)."""
+    block = ParameterDraw(
+        delta={name: np.asarray(value, dtype=float).reshape(1)
+               for name, value in draw.delta.items()},
+        groups={label: np.asarray(values, dtype=float).reshape(1, -1)
+                for label, values in draw.groups.items()},
+        eta=None if draw.eta is None else np.asarray(draw.eta, dtype=float)[None],
+    )
+    return bool(_regular_mask(model, block, 1)[0])
+
+
+def _unstack(block: ParameterDraw, rows: np.ndarray) -> list[ParameterDraw]:
+    delta = {name: values[rows].tolist() for name, values in block.delta.items()}
+    groups = {label: values[rows] for label, values in block.groups.items()}
+    eta = None if block.eta is None else block.eta[rows]
+    return [
+        ParameterDraw(delta={name: values[i] for name, values in delta.items()},
+                      groups={label: values[i] for label, values in groups.items()},
+                      eta=None if eta is None else eta[i])
+        for i in range(len(rows))
+    ]
 
 
 def sample_constrained_priors(model: "ModelSpec", n: int, rng: np.random.Generator,
                               max_attempts: int | None = None):
-    """``n`` draws from the constrained prior via rejection on the regularity indicator."""
+    """``n`` draws from the constrained prior via rejection on the regularity indicator.
+
+    Candidates are drawn and checked in blocks.  A block holds about the
+    candidates expected to give the draws still needed, at the acceptance
+    seen so far, within a byte budget and the attempts left.  The draws are
+    the first ``n`` accepted candidates in stream order, and the returned
+    rate is ``n`` over the candidates up to and including the n-th accepted
+    one; candidates after it are dropped and not counted.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_attempts is None:
         max_attempts = max(DEFAULT_REJECTION_CAP, 20 * n)
+    cap = _block_cap(model)
     draws: list[ParameterDraw] = []
     attempts = 0
     while len(draws) < n:
@@ -406,8 +483,12 @@ def sample_constrained_priors(model: "ModelSpec", n: int, rng: np.random.Generat
                 f"{len(draws)} accepted draws (empirical acceptance rate {rate:.3g})",
                 attempts=attempts, accepted=len(draws),
             )
-        candidate = _draw_prior_point(model, rng)
-        attempts += 1
-        if regularity_indicator(model, candidate):
-            draws.append(candidate)
-    return draws, len(draws) / attempts
+        need = n - len(draws)
+        # a quarter more than expected at the rate (accepted + 1) / (attempts + 2)
+        m = min(math.ceil(1.25 * need * (attempts + 2) / (len(draws) + 1)),
+                cap, max_attempts - attempts)
+        block = _draw_block(model, m, rng)
+        rows = np.flatnonzero(_regular_mask(model, block, m))[:need]
+        attempts += int(rows[-1]) + 1 if len(rows) == need else m
+        draws.extend(_unstack(block, rows))
+    return draws, n / attempts

@@ -178,6 +178,18 @@ def test_non_finite_k_documents_are_input_errors(k, tmp_path, model_paths, capsy
         assert err.startswith("error:") and "model.k" in err, (argv, err)
 
 
+def test_huge_k_stationarity_is_input_error_before_allocating(tmp_path, capsys):
+    # a valid document whose delta priors would be broadcast to k regimes;
+    # numpy refuses a 7 TiB array without touching memory, so this is safe
+    doc = tmp_path / "huge.model"
+    doc.write_text("[model]\nname = huge\nkind = mixture\nk = 1e12\n\n[delta]\n"
+                   "phi1 = normal_prec(m=0.5, vprec=4.0)\n"
+                   "phi2 = normal_prec(m=0.0, vprec=4.0)\n")
+    assert main(["stationarity", "--model", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.k" in err, err
+
+
 def test_malformed_document_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("[model]\nname = x\nkind = wishful\nk = 1\n")

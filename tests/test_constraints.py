@@ -21,7 +21,6 @@ from mixprior import (
     is_stationary_ar2,
     is_stationary_msar2,
     regularity_indicator,
-    sample_constrained_prior,
     sample_constrained_priors,
     sample_ordered,
     spectral_radius,
@@ -345,7 +344,7 @@ def test_regularity_configuration_errors():
 
 
 def test_unconstrained_sampler_accepts_everything():
-    _, rate = sample_constrained_prior(ar2_model(regularity="none"), np.random.default_rng(0))
+    _, rate = sample_constrained_priors(ar2_model(regularity="none"), 1, np.random.default_rng(0))
     assert rate == 1.0
 
 
@@ -375,6 +374,164 @@ def test_sampler_cap_error_reports_diagnostics():
     with pytest.raises(RejectionCapError) as err:
         sample_constrained_priors(model, 1, np.random.default_rng(2), max_attempts=500)
     assert err.value.attempts == 500
+
+
+def _loop_p2(p, regimes):
+    # the per-regime loop the batched builder replaced, kept as the reference
+    k = p.shape[0]
+    out = np.zeros((4 * k, 4 * k))
+    for r, (phi1, phi2) in enumerate(regimes):
+        companion = np.array([[phi1, phi2], [1.0, 0.0]])
+        for c in range(k):
+            out[4 * r:4 * r + 4, 4 * c:4 * c + 4] = p[c, r] * np.kron(companion, companion)
+    return out
+
+
+def _random_switching_block(rng, k, m):
+    # transition rows with some zeros, regimes mixed-sign, a third of them pooled
+    p = rng.dirichlet(np.ones(k), size=(m, k))
+    if k > 1:
+        p[: m // 4, :, 0] = 0.0
+        p[: m // 4] /= p[: m // 4].sum(axis=-1, keepdims=True)
+    phi1 = rng.uniform(-1.5, 1.5, size=(m, k))
+    phi2 = rng.uniform(-1.0, 1.0, size=(m, k))
+    phi1[: m // 3] = phi1[: m // 3, :1]
+    phi2[: m // 3] = phi2[: m // 3, :1]
+    return p, phi1, phi2
+
+
+def test_batched_p2_stack_and_mask_match_per_draw_solves():
+    from mixprior.constraints import _p2_stack, _regular_mask
+
+    rng = np.random.default_rng(SEED + 10)
+    for k in (1, 2, 3, 4):
+        p, phi1, phi2 = _random_switching_block(rng, k, 250)
+        stack = _p2_stack(p, phi1, phi2)
+        assert stack.shape == (250, 4 * k, 4 * k)
+        radius = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+        per_draw = np.empty(250)
+        for i in range(250):
+            problem = StationarityProblem(
+                p=p[i], regimes=tuple(CompanionMatrix(a, b) for a, b in zip(phi1[i], phi2[i])))
+            reference = _loop_p2(p[i], zip(phi1[i], phi2[i]))
+            assert np.array_equal(build_p2(problem), reference)
+            assert np.max(np.abs(stack[i] - build_p2(problem))) <= 1e-15
+            per_draw[i] = np.max(np.abs(np.linalg.eigvals(reference)))
+        assert np.max(np.abs(radius - per_draw)) <= 1e-12
+        assert 0 < np.count_nonzero(per_draw < 1.0) < 250
+        if k == 1:
+            continue  # a markov_switching model has k >= 2
+        block = ParameterDraw(delta={}, groups={"phi1": phi1, "phi2": phi2}, eta=p)
+        mask = _regular_mask(msar2_model(k=k), block, 250)
+        clear = np.abs(per_draw - 1.0) > 1e-12
+        assert np.array_equal(mask[clear], (per_draw < 1.0)[clear])
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000])
+def test_sampler_counts_no_candidate_after_the_last_accepted(n):
+    draws, rate = sample_constrained_priors(ar2_model(regularity="none"), n,
+                                            np.random.default_rng(SEED + 11))
+    assert len(draws) == n
+    assert rate == 1.0
+
+
+def test_sampler_keeps_the_first_accepted_candidates_in_stream_order(monkeypatch):
+    # record every block and its mask; the draws must be the first n accepted
+    # candidates of the concatenated stream, and the rate n over the position
+    # of the n-th of them
+    from mixprior import constraints
+
+    blocks, masks = [], []
+    draw_block, regular_mask = constraints._draw_block, constraints._regular_mask
+
+    def recording_draw(model, m, rng):
+        blocks.append(draw_block(model, m, rng))
+        return blocks[-1]
+
+    def recording_mask(model, block, m):
+        masks.append(regular_mask(model, block, m))
+        return masks[-1]
+
+    monkeypatch.setattr(constraints, "_draw_block", recording_draw)
+    monkeypatch.setattr(constraints, "_regular_mask", recording_mask)
+    model = msar2_model(k=3)
+    draws, rate = sample_constrained_priors(model, 600, np.random.default_rng(SEED + 12))
+    assert len(blocks) > 1
+    mask = np.concatenate(masks)
+    stream = np.concatenate([b.groups["phi1"] for b in blocks])
+    eta = np.concatenate([b.eta for b in blocks])
+    accepted = np.flatnonzero(mask)[:600]
+    assert rate == 600 / (accepted[-1] + 1)
+    assert np.array_equal(np.array([d.groups["phi1"] for d in draws]), stream[accepted])
+    assert np.array_equal(np.array([d.eta for d in draws]), eta[accepted])
+    for draw in draws[:20]:
+        assert regularity_indicator(model, draw)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 500])
+def test_sampler_cap_is_exact(cap):
+    model = ModelSpec(
+        name="hopeless", kind="single", k=1,
+        groups={
+            "phi1": MixturePriorGroup(components=(NormalVar(5.0, 1e-9),), label="phi1"),
+            "phi2": MixturePriorGroup(components=(NormalVar(5.0, 1e-9),), label="phi2"),
+        },
+        regularity="ar2_stationarity",
+    )
+    from mixprior.constraints import _block_cap
+    assert cap < _block_cap(model)
+    with pytest.raises(RejectionCapError) as err:
+        sample_constrained_priors(model, 5, np.random.default_rng(SEED + 13), max_attempts=cap)
+    assert err.value.attempts == cap
+    assert err.value.accepted == 0
+
+
+def test_switching_sampler_acceptance_matches_plain_mc_mass():
+    # the switching counterpart of criterion 7: the acceptance rate of the
+    # msiah2_ar2 sampler against the plain Monte Carlo mass of the region,
+    # computed on its own stream with the per-matrix repeated-squaring radius
+    from pathlib import Path
+
+    from mixprior import parse_model
+
+    path = Path(__file__).resolve().parents[1] / "demos" / "models" / "msiah2_ar2.model"
+    model = parse_model(path.read_text(encoding="utf-8"))
+    n_accept = 1000
+    _, sampler_rate = sample_constrained_priors(model, n_accept,
+                                                np.random.default_rng(SEED + 14))
+    rng = np.random.default_rng(SEED + 15)
+    n_mc = 2000
+    inside = 0
+    for _ in range(n_mc):
+        phi1 = [c.sample(rng) for c in model.groups["phi1"].components]
+        phi2 = [c.sample(rng) for c in model.groups["phi2"].components]
+        p = np.vstack([row.sample(rng) for row in model.eta_prior])
+        problem = StationarityProblem(
+            p=p, regimes=tuple(CompanionMatrix(a, b) for a, b in zip(phi1, phi2)))
+        inside += spectral_radius(build_p2(problem)) < 1.0
+    mc_rate = inside / n_mc
+    pooled = 0.5 * (sampler_rate + mc_rate)
+    se_sampler = math.sqrt(pooled * (1.0 - pooled) * pooled / n_accept)
+    se_mc = math.sqrt(pooled * (1.0 - pooled) / n_mc)
+    assert 0.3 < mc_rate < 0.7
+    assert abs(sampler_rate - mc_rate) <= 3.0 * math.sqrt(se_sampler ** 2 + se_mc ** 2)
+
+
+def test_sampler_keeps_vector_component_shapes():
+    # a group of dirichlet components: each accepted draw holds one row per component
+    from mixprior import Dirichlet
+
+    model = ModelSpec(
+        name="weights", kind="mixture", k=2,
+        delta_priors={"phi1": NormalPrec(0.5, 4.0), "phi2": NormalPrec(0.0, 4.0)},
+        groups={"w": MixturePriorGroup(components=(Dirichlet((1.0, 2.0, 3.0)),) * 2, label="w")},
+        regularity="ar2_stationarity",
+    )
+    draws, _ = sample_constrained_priors(model, 5, np.random.default_rng(SEED + 16))
+    for draw in draws:
+        assert draw.groups["w"].shape == (2, 3)
+        assert np.allclose(draw.groups["w"].sum(axis=1), 1.0)
+        assert isinstance(draw.delta["phi1"], float)
 
 
 def test_ordered_group_draws_respect_constraint_through_model_sampler():
