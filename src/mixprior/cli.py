@@ -3,6 +3,10 @@
 Exit codes: 0 on success or a passing check, 1 on analytic infeasibility or a
 failing verification, 2 on input errors.  All stochastic subcommands take
 ``--seed`` (default 12345) and reproduce their output byte for byte.
+
+``forward``, ``reverse``, ``family`` and ``check-plan`` need no arrays and run
+without importing numpy; ``verify``, ``stationarity`` and ``sample`` import
+it, with ``constraints`` and ``verify``, inside their handlers.
 """
 
 from __future__ import annotations
@@ -10,18 +14,18 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coherence import FeasibilityError, MixturePriorGroup, coherent_product
-from .constraints import (CompanionMatrix, ConfigurationError, RejectionCapError,
-                          StationarityProblem, is_stationary_msar2, sample_constrained_priors)
 from .distributions import FAMILIES
+from .errors import (ConfigurationError, GridCoverageError, InsufficientRetentionError,
+                     RejectionCapError)
 from .modelspec import ModelFormatError, ModelSpec, format_dist, format_model, parse_dist, parse_model
 from .plan import CoherencePlan, PlanError, build_family_model, check_plan, derive_pairings
 from .reports import canonical_json, to_human, to_machine
-from .verify import (GridCoverageError, InsufficientRetentionError,
-                     mc_conditional_check, verify_product_coherence)
+
+if TYPE_CHECKING:
+    from .constraints import StationarityProblem
 
 DEFAULT_SEED = 12345
 
@@ -133,6 +137,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import numpy as np
+
+    from .verify import mc_conditional_check, verify_product_coherence
+
     group = _group_from_args(args)
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
     methods = ["grid", "mc"] if args.method == "both" else [args.method]
@@ -166,15 +174,21 @@ def _cmd_check_plan(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str) -> list[list[float]]:
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        return np.asarray(rows, dtype=float)
+        if len({len(row) for row in rows}) != 1:
+            raise ValueError
+        return rows
     except ValueError:
         raise _InputError(f"matrix flags take 'a,b;c,d' rows, got {text!r}") from None
 
 
 def _problem_from_model(model: ModelSpec) -> StationarityProblem:
+    import numpy as np
+
+    from .constraints import CompanionMatrix, StationarityProblem
+
     # evaluate the regularity statistic at the prior mean point
     if model.k > MAX_STATIONARITY_K:
         raise _InputError(f"model.k: the stationarity check builds a 4K x 4K matrix and takes "
@@ -199,11 +213,15 @@ def _problem_from_model(model: ModelSpec) -> StationarityProblem:
 
 
 def _cmd_stationarity(args) -> int:
+    import numpy as np
+
+    from .constraints import CompanionMatrix, StationarityProblem, is_stationary_msar2
+
     if args.p is not None or args.phi is not None:
         if args.p is None or args.phi is None:
             raise _InputError("--p and --phi go together")
-        p = _parse_matrix(args.p)
-        phi = _parse_matrix(args.phi)
+        p = np.asarray(_parse_matrix(args.p), dtype=float)
+        phi = np.asarray(_parse_matrix(args.phi), dtype=float)
         if phi.shape[1] != 2 or phi.shape[0] != p.shape[0]:
             raise _InputError("--phi needs one 'phi1,phi2' row per state")
         problem = StationarityProblem(
@@ -218,6 +236,10 @@ def _cmd_stationarity(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    import numpy as np
+
+    from .constraints import sample_constrained_priors
+
     model = _load_model(args.model)
     rng = np.random.default_rng(args.seed)
     draws, rate = sample_constrained_priors(model, args.n, rng,

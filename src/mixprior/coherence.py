@@ -7,7 +7,8 @@ maps recover K identical component priors from a given nested prior; they are
 defined only under component-wise equality of hyperparameters.
 
 All sums are accumulated with ``math.fsum`` so round-trip identities hold to
-1e-12 regardless of K.
+1e-12 regardless of K.  A sum that overflows a float raises ``ValueError``
+naming the sum.
 """
 
 from __future__ import annotations
@@ -59,19 +60,26 @@ def _check_pairs(groups, first_name, second_name, k_min=2):
     return pairs
 
 
+def _fsum(terms, what: str) -> float:
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValueError(f"the {what} overflows a float") from None
+
+
 def coherent_normal_forward(groups: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """(m_i, v_i) pairs -> (m1, v1): precision-weighted mean, inverted precision sum."""
     pairs = _check_pairs(groups, "m", "v")
-    inv_sum = math.fsum(1.0 / v for _, v in pairs)
-    m1 = math.fsum(m / v for m, v in pairs) / inv_sum
+    inv_sum = _fsum((1.0 / v for _, v in pairs), "sum of the precisions 1/v_i")
+    m1 = _fsum((m / v for m, v in pairs), "sum of the weighted means m_i/v_i") / inv_sum
     return m1, 1.0 / inv_sum
 
 
 def coherent_normal_prec_forward(groups: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """(m_i, vprec_i) pairs -> (m1, vprec1 = sum of precisions)."""
     pairs = _check_pairs(groups, "m", "vprec")
-    prec_sum = math.fsum(p for _, p in pairs)
-    m1 = math.fsum(p * m for m, p in pairs) / prec_sum
+    prec_sum = _fsum((p for _, p in pairs), "sum of the precisions vprec_i")
+    m1 = _fsum((p * m for m, p in pairs), "sum of the weighted means vprec_i*m_i") / prec_sum
     return m1, prec_sum
 
 
@@ -82,8 +90,8 @@ def coherent_invgamma_forward(groups: Sequence[tuple[float, float]]) -> tuple[fl
         if a <= 0.0:
             raise ValueError(f"a[{i}] must be positive, got {a}")
     k = len(pairs)
-    a1 = math.fsum(a for a, _ in pairs) + k - 1.0
-    b1 = 1.0 / math.fsum(1.0 / b for _, b in pairs)
+    a1 = _fsum((a for a, _ in pairs), "sum of the shapes a_i") + k - 1.0
+    b1 = 1.0 / _fsum((1.0 / b for _, b in pairs), "sum of the reciprocals 1/b_i")
     return a1, b1
 
 
@@ -94,7 +102,7 @@ def coherent_gamma_forward(groups: Sequence[tuple[float, float]]) -> tuple[float
         if a <= 0.0:
             raise ValueError(f"a[{i}] must be positive, got {a}")
     k = len(pairs)
-    shape_sum = math.fsum(a for a, _ in pairs)
+    shape_sum = _fsum((a for a, _ in pairs), "sum of the shapes a_i")
     a1 = shape_sum + 1.0 - k
     if a1 <= 0.0:
         raise FeasibilityError(
@@ -102,7 +110,7 @@ def coherent_gamma_forward(groups: Sequence[tuple[float, float]]) -> tuple[float
             f"sum of shapes {shape_sum} must exceed K - 1 = {k - 1}",
             k=k, bound=float(k - 1), value=shape_sum,
         )
-    return a1, math.fsum(b for _, b in pairs)
+    return a1, _fsum((b for _, b in pairs), "sum of the rates b_i")
 
 
 def _check_k(k) -> int:

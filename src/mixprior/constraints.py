@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coherence import MixturePriorGroup
-
-if TYPE_CHECKING:
-    from .modelspec import ModelSpec
+from .errors import ConfigurationError, RejectionCapError
+from .modelspec import REGULARITY_KINDS, ModelSpec, OrderingConstraint
+from .reports import StationarityResult
 
 __all__ = [
     "OrderingConstraint",
@@ -47,35 +46,11 @@ __all__ = [
     "sample_constrained_priors",
 ]
 
-REGULARITY_KINDS = ("none", "ar2_stationarity", "msar2_stationarity")
-
 DEFAULT_REJECTION_CAP = 1_000_000
-
-
-class RejectionCapError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
-
-    def __init__(self, message: str, *, attempts: int, accepted: int):
-        super().__init__(message)
-        self.attempts = attempts
-        self.accepted = accepted
-        self.acceptance_rate = accepted / attempts if attempts else 0.0
 
 
 class SpectralRadiusError(RuntimeError):
     """The spectral radius estimate failed to converge."""
-
-
-class ConfigurationError(ValueError):
-    """A constraint kind does not fit the shape of the model it is attached to."""
-
-
-@dataclass(frozen=True)
-class OrderingConstraint:
-    """Marks the one group per model whose coordinates are sampled nondecreasing."""
-
-    group_label: str
-    direction: str = "nondecreasing"
 
 
 def indicator_ordered(values) -> bool:
@@ -266,15 +241,6 @@ def companion_spectral_radius(phi1, phi2):
     complex_rho = np.sqrt(np.maximum(-phi2, 0.0))
     out = np.where(real, real_rho, complex_rho)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class StationarityResult:
-    """Stationarity verdict; ``boundary`` flags a radius within tol of 1."""
-
-    stationary: bool
-    rho: float
-    boundary: bool
 
 
 def is_stationary_msar2(problem: StationarityProblem, tol: float = 1e-10) -> StationarityResult:

@@ -14,6 +14,10 @@ All descriptors are immutable; invalid hyperparameters are rejected at
 construction, never clamped.  Samplers draw only from the generator passed in
 by the caller, so concurrent use requires distinct generator instances.
 
+Constructing, comparing and formatting descriptors needs no numpy.  The
+array methods (``log_pdf``, ``cdf``, the Dirichlet ``mean``) load numpy, and
+:mod:`mixprior.special` where they need it, when they run.
+
 Each family class is also the one row of the family table :data:`FAMILIES`:
 its literal name and field names in model documents, ``params()`` in that
 order, its closed-form coherence maps and its CLI ``reverse`` name and flags.
@@ -27,13 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coherence import (coherent_gamma_forward, coherent_invgamma_forward,
                         coherent_normal_forward, coherent_normal_prec_forward,
                         reverse_equal_gamma, reverse_equal_invgamma, reverse_equal_normal)
-from .special import reg_lower_incomplete_gamma, standard_normal_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DistSpec",
@@ -63,6 +68,8 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _maybe_scalar(arr):
+    import numpy as np
+
     arr = np.asarray(arr)
     return float(arr) if arr.ndim == 0 else arr
 
@@ -120,11 +127,17 @@ class NormalVar(DistSpec):
         return self.m, self.v
 
     def log_pdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         out = -0.5 * (_LOG_2PI + math.log(self.v)) - 0.5 * (x - self.m) ** 2 / self.v
         return _maybe_scalar(out)
 
     def cdf(self, x):
+        import numpy as np
+
+        from .special import standard_normal_cdf
+
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(standard_normal_cdf((x - self.m) / math.sqrt(self.v)))
 
@@ -161,11 +174,17 @@ class NormalPrec(DistSpec):
         return 1.0 / self.vprec
 
     def log_pdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         out = -0.5 * (_LOG_2PI - math.log(self.vprec)) - 0.5 * self.vprec * (x - self.m) ** 2
         return _maybe_scalar(out)
 
     def cdf(self, x):
+        import numpy as np
+
+        from .special import standard_normal_cdf
+
         x = np.asarray(x, dtype=float)
         return _maybe_scalar(standard_normal_cdf((x - self.m) * math.sqrt(self.vprec)))
 
@@ -199,6 +218,8 @@ class Gamma(DistSpec):
         return self.a_shape, self.b_rate
 
     def log_pdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValueError("gamma density is defined for x > 0 only")
@@ -207,6 +228,10 @@ class Gamma(DistSpec):
         return _maybe_scalar(out)
 
     def cdf(self, x):
+        import numpy as np
+
+        from .special import reg_lower_incomplete_gamma
+
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
         out = np.zeros(x.shape)
@@ -244,6 +269,8 @@ class InvGamma(DistSpec):
         return self.a_shape, self.b_scale
 
     def log_pdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValueError("inverse gamma density is defined for x > 0 only")
@@ -252,6 +279,10 @@ class InvGamma(DistSpec):
         return _maybe_scalar(out)
 
     def cdf(self, x):
+        import numpy as np
+
+        from .special import reg_lower_incomplete_gamma
+
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
         out = np.zeros(x.shape)
@@ -279,7 +310,13 @@ class Dirichlet(DistSpec):
     literal_fields = ("d",)
 
     def __post_init__(self):
-        d = tuple(float(v) for v in np.asarray(self.d, dtype=float).ravel())
+        # a list or tuple of numbers, as documents and plans give, needs no numpy
+        if isinstance(self.d, (list, tuple)) and all(isinstance(v, (int, float)) for v in self.d):
+            d = tuple(float(v) for v in self.d)
+        else:
+            import numpy as np
+
+            d = tuple(float(v) for v in np.asarray(self.d, dtype=float).ravel())
         if len(d) < 2:
             raise ValueError("dirichlet needs at least 2 concentration entries")
         for i, v in enumerate(d):
@@ -295,6 +332,8 @@ class Dirichlet(DistSpec):
         return len(self.d)
 
     def log_pdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected simplex vectors of length {self.dim}, got shape {x.shape}")
@@ -311,10 +350,12 @@ class Dirichlet(DistSpec):
     def sample(self, rng, size=None):
         # normalized independent gamma draws
         shape = (self.dim,) if size is None else (int(size), self.dim)
-        g = rng.gamma(np.asarray(self.d), 1.0, shape)
+        g = rng.gamma(self.d, 1.0, shape)
         return g / g.sum(axis=-1, keepdims=True)
 
     def mean(self):
+        import numpy as np
+
         d = np.asarray(self.d)
         return d / d.sum()
 

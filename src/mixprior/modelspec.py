@@ -18,13 +18,13 @@ import re
 from dataclasses import dataclass, field
 
 from .coherence import MixturePriorGroup
-from .constraints import REGULARITY_KINDS, OrderingConstraint
 from .distributions import FAMILIES, Dirichlet, DistSpec
 
 __all__ = [
     "Diagnostic",
     "ModelFormatError",
     "ModelSpec",
+    "OrderingConstraint",
     "parse_model",
     "format_model",
     "parse_dist",
@@ -33,6 +33,7 @@ __all__ = [
 
 MODEL_KINDS = ("single", "mixture", "markov_switching")
 INITIAL_STATE_NAMES = ("uniform", "ergodic")
+REGULARITY_KINDS = ("none", "ar2_stationarity", "msar2_stationarity")
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _ENTRY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)$")
@@ -59,6 +60,14 @@ class ModelFormatError(ValueError):
         self.diagnostics = list(diagnostics)
         lines = "\n".join(str(d) for d in self.diagnostics)
         super().__init__(f"invalid model document:\n{lines}")
+
+
+@dataclass(frozen=True)
+class OrderingConstraint:
+    """Marks the one group per model whose coordinates are sampled nondecreasing."""
+
+    group_label: str
+    direction: str = "nondecreasing"
 
 
 @dataclass(frozen=True, eq=True)
@@ -157,7 +166,7 @@ def _validate_model(spec: ModelSpec, diags: list[Diagnostic], lines=None) -> Non
         probs = spec.initial_state
         if len(probs) != spec.k:
             bad("constraint.initial_state", f"vector length {len(probs)} != k={spec.k}")
-        elif any(p < 0.0 for p in probs) or abs(math.fsum(probs) - 1.0) > 1e-12:
+        elif not all(0.0 <= p <= 1.0 for p in probs) or abs(math.fsum(probs) - 1.0) > 1e-12:
             bad("constraint.initial_state", "entries must be nonnegative and sum to 1")
 
 

@@ -1,4 +1,9 @@
-"""Report emission: aligned human tables and a canonical machine format.
+"""Report types and their emission: aligned human tables and a canonical machine format.
+
+The verdicts of the oracles (:class:`CoherenceReport`) and of the
+stationarity check (:class:`StationarityResult`) are defined here, next to
+the plan report they are emitted with, so that emitting a report never
+imports numpy.  ``verify`` and ``constraints`` re-export them.
 
 The machine format is schema-versioned JSON (``"schema": "v1"``) emitted with
 sorted keys and fixed separators, so identical reports serialize to identical
@@ -8,15 +13,42 @@ bytes and every serialization re-parses to an identical in-memory object.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
-from .constraints import StationarityResult
 from .plan import PairingResult, PlanReport
-from .verify import CoherenceReport
 
-__all__ = ["SCHEMA_VERSION", "canonical_json", "emit_report", "to_machine",
-           "from_machine", "to_human"]
+__all__ = ["CoherenceReport", "StationarityResult", "SCHEMA_VERSION", "canonical_json",
+           "emit_report", "to_machine", "from_machine", "to_human"]
 
 SCHEMA_VERSION = "v1"
+
+
+@dataclass(frozen=True)
+class CoherenceReport:
+    """Machine-readable verdict of one verification run.
+
+    ``passed`` is a deterministic function of the recorded statistics and
+    tolerances.
+    """
+
+    method: str
+    passed: bool
+    sup_norm_error: float | None = None
+    sup_tol: float | None = None
+    ks_statistic: float | None = None
+    ks_critical: float | None = None
+    ks_alpha: float | None = None
+    n_retained: int | None = None
+    epsilon: float | None = None
+
+
+@dataclass(frozen=True)
+class StationarityResult:
+    """Stationarity verdict; ``boundary`` flags a radius within tol of 1."""
+
+    stationary: bool
+    rho: float
+    boundary: bool
 
 
 def canonical_json(payload: dict) -> str:

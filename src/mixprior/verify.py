@@ -20,13 +20,14 @@ partition Monte Carlo work across generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import MixturePriorGroup
 from .constraints import sample_ordered
 from .distributions import DistSpec
+from .errors import GridCoverageError, InsufficientRetentionError
+from .reports import CoherenceReport
 
 __all__ = [
     "CoherenceReport",
@@ -44,33 +45,6 @@ DEFAULT_SUP_TOL = 1e-6
 DEFAULT_KS_ALPHA = 0.001
 _MIN_KS_SAMPLES = 200
 _COVERAGE_FRACTION = 0.999
-
-
-class GridCoverageError(ValueError):
-    """The evaluation grid misses a non-negligible share of the product mass."""
-
-
-class InsufficientRetentionError(RuntimeError):
-    """Too few draws survived the epsilon band to run the KS test."""
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Machine-readable verdict of one verification run.
-
-    ``passed`` is a deterministic function of the recorded statistics and
-    tolerances.
-    """
-
-    method: str
-    passed: bool
-    sup_norm_error: float | None = None
-    sup_tol: float | None = None
-    ks_statistic: float | None = None
-    ks_critical: float | None = None
-    ks_alpha: float | None = None
-    n_retained: int | None = None
-    epsilon: float | None = None
 
 
 def to_contrasts(values):

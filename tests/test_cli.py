@@ -2,11 +2,20 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixprior
 from mixprior.cli import build_parser, main
 from mixprior.distributions import FAMILIES
+
+SRC = Path(mixprior.__file__).resolve().parents[1]
+DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 SUBCOMMANDS = ["forward", "reverse", "family", "verify", "check-plan", "stationarity", "sample"]
 
@@ -205,3 +214,68 @@ def test_out_flag_writes_file(tmp_path, model_paths, capsys):
     assert rc == 0
     payload = json.loads(target.read_text())
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("component", [
+    "gamma(a_breve=1e308, b_breve=1)",
+    "inv_gamma(a=1e308, b=1)",
+    "gamma(a_breve=2, b_breve=1e308)",
+    "normal_prec(m=0, vprec=1e308)",
+])
+def test_forward_overflow_is_input_error(component, capsys):
+    assert main(["forward", "--component", component, "--component", component]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err, err
+
+
+def test_check_plan_overflow_is_input_error(tmp_path, capsys):
+    general = tmp_path / "huge_shapes.model"
+    general.write_text(re.sub(r"a_breve=[0-9.]+", "a_breve=1e308",
+                              (DEMO_MODELS / "msiah2_ar2.model").read_text()))
+    assert main(["check-plan", "--nested", str(DEMO_MODELS / "ar2.model"),
+                 "--general", str(general)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sum of the shapes a_i overflows" in err, err
+
+
+# ---------------------------------------------------------------------------
+# start-up: the array-free subcommands never import numpy
+
+_NUMPY_FREE_CHILD = """\
+import sys
+import mixprior.cli as c
+rc = c.main(sys.argv[1:])
+loaded = sorted(m for m in ("numpy", "mixprior.constraints", "mixprior.verify",
+                            "mixprior.special") if m in sys.modules)
+assert rc == 0, rc
+assert "numpy" not in sys.modules, loaded
+assert not loaded, loaded
+"""
+
+
+def _run_child(code: str, argv: list[str], cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--model", str(DEMO_MODELS / "msiah2_ar2.model"), "--group", "sigma_prec"],
+    ["reverse", "--family", "gamma", "--a1", "3", "--b1", "2", "--k", "4"],
+    ["family", "--model", str(DEMO_MODELS / "ar2.model"), "--k-range", "2:4",
+     "--out-dir", "family_out"],
+    ["check-plan", "--nested", str(DEMO_MODELS / "ar2.model"),
+     "--general", str(DEMO_MODELS / "msiah2_ar2.model")],
+], ids=lambda argv: argv[0])
+def test_array_free_subcommand_does_not_import_numpy(argv, tmp_path):
+    child = _run_child(_NUMPY_FREE_CHILD, argv, tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout
+
+
+def test_bare_package_import_does_not_import_numpy(tmp_path):
+    child = _run_child("import sys, mixprior\nassert 'numpy' not in sys.modules\n"
+                       "assert sorted(m for m in sys.modules if m.startswith('mixprior')) "
+                       "== ['mixprior']\n", [], tmp_path)
+    assert child.returncode == 0, child.stderr

@@ -113,6 +113,21 @@ def test_gamma_forward_infeasible_when_shapes_too_small():
         coherent_gamma_forward([(0.5, 1.0)] * 3)
 
 
+@pytest.mark.parametrize("forward, pairs, sum_name", [
+    (coherent_normal_forward, [(0.0, 1e-308)] * 2, "precisions 1/v_i"),
+    (coherent_normal_forward, [(1e300, 1e-8)] * 2, "weighted means m_i/v_i"),
+    (coherent_normal_prec_forward, [(0.0, 1e308)] * 2, "precisions vprec_i"),
+    (coherent_invgamma_forward, [(1e308, 1.0)] * 2, "shapes a_i"),
+    (coherent_invgamma_forward, [(2.0, 1e-308)] * 2, "reciprocals 1/b_i"),
+    (coherent_gamma_forward, [(1e308, 1.0)] * 2, "shapes a_i"),
+    (coherent_gamma_forward, [(2.0, 1e308)] * 2, "rates b_i"),
+])
+def test_forward_map_overflow_is_a_value_error_naming_the_sum(forward, pairs, sum_name):
+    # math.fsum raises OverflowError on an intermediate overflow
+    with pytest.raises(ValueError, match=f"sum of the {sum_name} overflows"):
+        forward(pairs)
+
+
 # ---------------------------------------------------------------------------
 # reverse maps and round trips
 

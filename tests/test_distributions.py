@@ -36,6 +36,25 @@ def test_invalid_hyperparameters_are_rejected(bad):
         bad()
 
 
+@pytest.mark.parametrize("d", [(1.0, 2.5), [2, 3, 4], (True, 1.5), [],
+                               [1.0], [1.0, 0.0], (1.0, -3.0, 2.0), [1.0, math.nan],
+                               [1.0, math.inf], [1, 10**400]])
+def test_dirichlet_list_route_matches_the_array_route(d):
+    # a plain list or tuple of numbers is validated without numpy; an array
+    # takes the numpy route, with the same result or the same error
+    def build(value):
+        try:
+            return Dirichlet(value).d
+        except (ValueError, OverflowError) as err:
+            return type(err), str(err)
+
+    got = build(d)
+    assert got == build(np.asarray(d, dtype=object))
+    if isinstance(got, tuple) and got and isinstance(got[0], float):
+        assert got == build(np.asarray(d, dtype=float))
+        assert all(type(v) is float for v in got)
+
+
 # ---------------------------------------------------------------------------
 # log_pdf
 

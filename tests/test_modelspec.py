@@ -185,6 +185,28 @@ component = normal_var(m=0, v=1)
 [constraint]
 initial_state = [0.9, 0.9]
 """,
+    "initial_state_overflowing": """
+[model]
+name = bad
+kind = mixture
+k = 2
+[group.mu]
+component = normal_var(m=0, v=1)
+component = normal_var(m=0, v=1)
+[constraint]
+initial_state = [1e308, 1e308]
+""",
+    "initial_state_nan": """
+[model]
+name = bad
+kind = mixture
+k = 2
+[group.mu]
+component = normal_var(m=0, v=1)
+component = normal_var(m=0, v=1)
+[constraint]
+initial_state = [nan, nan]
+""",
     "unknown_regularity": """
 [model]
 name = bad
