@@ -25,7 +25,7 @@ for dwell in (0.05, 0.6, 0.95):
 
 # --- collapse to the single-regime condition -------------------------------------
 phi = mp.CompanionMatrix(0.5, 0.3)
-rho_companion = mp.spectral_radius(phi.as_array(), tol=1e-12)
+rho_companion = mp.spectral_radius(phi.as_array())
 p = np.array([[0.9, 0.1], [0.1, 0.9]])
 result = mp.is_stationary_msar2(mp.StationarityProblem(p=p, regimes=(phi, phi)))
 print()

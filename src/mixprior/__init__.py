@@ -25,8 +25,8 @@ _SUBMODULE_NAMES = {
         "reverse_equal_gamma", "reverse_equal_invgamma", "reverse_equal_normal",
     ),
     "constraints": (
-        "CompanionMatrix", "ParameterDraw", "SpectralRadiusError", "StationarityProblem",
-        "build_p2", "companion_spectral_radius", "indicator_ordered", "is_stationary_ar2",
+        "CompanionMatrix", "ParameterDraw", "StationarityProblem", "build_p2",
+        "companion_spectral_radius", "indicator_ordered", "is_stationary_ar2",
         "is_stationary_msar2", "regularity_indicator", "sample_constrained_priors",
         "sample_ordered", "spectral_radius",
     ),

@@ -36,6 +36,11 @@ EXIT_INPUT = 2
 # largest K that `stationarity --model` checks: its 4K x 4K matrix is then 8 MiB
 MAX_STATIONARITY_K = 256
 
+# `verify` keeps its arrays within 2 GiB: the grid oracle holds about 64 bytes
+# per point, the Monte Carlo check up to 128 per draw and component
+MAX_GRID_N = (2 << 30) // 64
+MAX_MC_VALUES = (2 << 30) // 128
+
 
 class _InputError(Exception):
     pass
@@ -144,6 +149,12 @@ def _cmd_verify(args) -> int:
     group = _group_from_args(args)
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
     methods = ["grid", "mc"] if args.method == "both" else [args.method]
+    if "grid" in methods and args.grid_n > MAX_GRID_N:
+        raise _InputError(f"--grid-n: the grid oracle takes at most {MAX_GRID_N} points, "
+                          f"got {args.grid_n}")
+    if "mc" in methods and args.n_draws * group.k > MAX_MC_VALUES:
+        raise _InputError(f"--n-draws: the Monte Carlo check takes at most {MAX_MC_VALUES} "
+                          f"draws times components, got {args.n_draws} x {group.k}")
     rng = np.random.default_rng(args.seed)
     outputs = []
     all_passed = True
@@ -230,7 +241,7 @@ def _cmd_stationarity(args) -> int:
         problem = _problem_from_model(_load_model(args.model))
     else:
         raise _InputError("give --model or explicit --p/--phi matrices")
-    result = is_stationary_msar2(problem, tol=args.tol)
+    result = is_stationary_msar2(problem)
     _emit(args, to_machine(result) if args.format == "machine" else to_human(result))
     return EXIT_OK if result.stationary else EXIT_FAIL
 
@@ -336,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="evaluate at the prior mean point of this model document")
     p.add_argument("--p", help="explicit transition matrix, rows 'a,b;c,d'")
     p.add_argument("--phi", help="explicit AR coefficients, one 'phi1,phi2' row per state")
-    p.add_argument("--tol", type=float, default=1e-10, help="spectral radius tolerance")
     _add_common(p)
     p.set_defaults(func=_cmd_stationarity)
 

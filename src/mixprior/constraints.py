@@ -6,6 +6,10 @@ second-order stationarity check for Markov-switching AR(2) models through
 the block matrix built from transition probabilities and squared companion
 matrices, and rejection sampling from constrained priors.
 
+Every radius but the closed-form AR(2) companion radius is one eigensolve,
+``spectral_radius``; a verdict within the solver's derived accuracy of 1 is
+flagged ``boundary``.
+
 The rejection sampler draws and checks candidates in blocks of arrays: one
 sized draw per prior, one regularity mask per block and, for switching
 models, one batched eigensolve over the stack of block matrices.  Its
@@ -33,7 +37,6 @@ __all__ = [
     "StationarityResult",
     "ParameterDraw",
     "RejectionCapError",
-    "SpectralRadiusError",
     "ConfigurationError",
     "indicator_ordered",
     "sample_ordered",
@@ -47,10 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_REJECTION_CAP = 1_000_000
-
-
-class SpectralRadiusError(RuntimeError):
-    """The spectral radius estimate failed to converge."""
 
 
 def indicator_ordered(values) -> bool:
@@ -169,65 +168,32 @@ def build_p2(problem: StationarityProblem) -> np.ndarray:
     return _p2_stack(problem.p[None], phi[None, :, 0], phi[None, :, 1])[0]
 
 
-def _gelfand(a: np.ndarray, tol: float, max_iter: int):
-    # rho = lim ||A^(2^j)||^(1/2^j); bracket with max-row-sum and Frobenius norms.
-    # Both norm estimates overshoot rho by ~c/m, so agreement of the bracket
-    # alone can converge to a jointly shifted value; additionally require the
-    # successive estimates to settle (their gap is ~half the remaining error)
-    # and cancel the leading 1/m term by extrapolation.
-    b = a.copy()
-    log_scale = 0.0
-    m = 1.0
-    previous = math.inf
-    estimate = math.inf
-    width = math.inf
-    for _ in range(max_iter):
-        norm_inf = float(np.max(np.abs(b).sum(axis=1)))
-        if norm_inf == 0.0:
-            return 0.0, 0.0, True
-        norm_fro = float(np.linalg.norm(b))
-        est_inf = math.exp((log_scale + math.log(norm_inf)) / m)
-        est_fro = math.exp((log_scale + math.log(norm_fro)) / m)
-        previous, estimate = estimate, min(est_inf, est_fro)
-        width = abs(est_inf - est_fro)
-        step = abs(estimate - previous)
-        if m > 2.0 and width <= 0.125 * tol and step <= 0.125 * tol:
-            extrapolated = 2.0 * estimate - previous
-            return max(0.0, min(extrapolated, estimate)), width, True
-        scaled = b / norm_inf
-        b = scaled @ scaled
-        if not np.all(np.isfinite(b)):
-            break
-        log_scale = 2.0 * (log_scale + math.log(norm_inf))
-        m *= 2.0
-    return estimate, width, False
-
-
-def spectral_radius(a, tol: float = 1e-10, max_iter: int = 100) -> float:
-    """Spectral radius of a square matrix with possibly signed entries.
-
-    Power iteration is not valid here, so the estimate comes from repeated
-    squaring, bracketing the limit with the max-row-sum and Frobenius norms
-    until the bracket width drops below ``tol``.  A dense QR eigensolve is
-    the fallback when the bracket stalls.
-    """
+def spectral_radius(a):
+    """Largest eigenvalue modulus of a matrix ``(n, n)`` (a float) or a stack ``(..., n, n)``."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if a.shape[0] == 1:
-        return abs(float(a[0, 0]))
-    estimate, width, converged = _gelfand(a, tol, max_iter)
-    if converged:
-        return estimate
-    try:
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
-    except np.linalg.LinAlgError as err:
-        raise SpectralRadiusError(
-            f"no convergence within {max_iter} squarings (last bracket width {width:.3g}, "
-            f"estimate {estimate:.12g}) and the dense eigensolver failed"
-        ) from err
+    rho = np.abs(np.linalg.eigvals(a)).max(-1)
+    return float(rho) if rho.ndim == 0 else rho
+
+
+def _accuracy_band(a: np.ndarray) -> float:
+    """How far the computed radius of ``a`` may lie from the exact one.
+
+    The computed eigenvalues are exact for a matrix within about
+    ``delta = n eps max|a_ij|`` of ``a`` (the largest entry cannot overflow,
+    a norm can), and that moves an eigenvalue of a Jordan block of size m by
+    up to ``delta^(1/m)``.  The band is ``2 delta^(1/m)`` for the largest m
+    with m computed eigenvalues that close to the top one.
+    """
+    eigenvalues = np.linalg.eigvals(a)
+    n = a.shape[0]
+    top = eigenvalues[np.argmax(np.abs(eigenvalues))]
+    gaps = np.sort(np.abs(eigenvalues - top))
+    widths = 2.0 * (n * np.finfo(float).eps * np.abs(a).max()) ** (1.0 / np.arange(1, n + 1))
+    return float(np.max(widths, where=gaps <= widths, initial=0.0))
 
 
 def companion_spectral_radius(phi1, phi2):
@@ -243,12 +209,15 @@ def companion_spectral_radius(phi1, phi2):
     return float(out) if out.ndim == 0 else out
 
 
-def is_stationary_msar2(problem: StationarityProblem, tol: float = 1e-10) -> StationarityResult:
-    """Sufficient second-order stationarity check: rho of the block matrix < 1."""
-    rho = spectral_radius(build_p2(problem), tol=tol)
-    return StationarityResult(stationary=rho < 1.0, rho=rho, boundary=abs(rho - 1.0) <= tol)
+def is_stationary_msar2(problem: StationarityProblem) -> StationarityResult:
+    """Sufficient second-order stationarity check: rho of the block matrix < 1, outside the band."""
+    a = build_p2(problem)
+    rho = spectral_radius(a)
+    boundary = abs(rho - 1.0) <= _accuracy_band(a)
+    return StationarityResult(stationary=rho < 1.0 and not boundary, rho=rho, boundary=boundary)
 
 
+# roots nearly double, but not within the derived band, cost up to ~eps / gap
 _AR2_BOUNDARY_BAND = 1e-8
 
 
@@ -256,13 +225,15 @@ def is_stationary_ar2(phi1: float, phi2: float) -> bool:
     """AR(2) stationarity via the companion spectral radius.
 
     Cross-checked against the stationarity-triangle inequalities; genuine
-    disagreement away from the boundary signals a numerical bug.
+    disagreement outside the solver's accuracy band signals a numerical bug.
     """
     phi1, phi2 = float(phi1), float(phi2)
-    rho = spectral_radius(CompanionMatrix(phi1, phi2).as_array(), tol=1e-12)
+    companion = CompanionMatrix(phi1, phi2).as_array()
+    rho = spectral_radius(companion)
     by_radius = rho < 1.0
     by_triangle = (phi2 > -1.0) and (phi1 + phi2 < 1.0) and (phi2 - phi1 < 1.0)
-    if by_radius != by_triangle and abs(rho - 1.0) > _AR2_BOUNDARY_BAND:
+    if by_radius != by_triangle and abs(rho - 1.0) > max(_AR2_BOUNDARY_BAND,
+                                                         _accuracy_band(companion)):
         raise AssertionError(
             f"stationarity checks disagree at phi=({phi1}, {phi2}): "
             f"rho={rho!r} vs triangle={by_triangle}"
@@ -375,9 +346,9 @@ def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarra
 
     Membership is tested in [0, 1): the constrained statistic is the AR(2)
     companion radius for nested and intermediate models and the block-matrix
-    radius, from one batched eigensolve, for fully switching models.  Random
-    continuous draws give a defective matrix with probability zero, so the
-    eigenvalues are accurate to rounding.
+    radius, from one ``spectral_radius`` call on the stack, for fully
+    switching models.  Random continuous draws give a defective matrix with
+    probability zero, so the eigenvalues are accurate to rounding.
     """
     kind = model.regularity
     if kind == "none":
@@ -394,7 +365,7 @@ def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarra
             )
         stack = _p2_stack(block.eta, _values_by_regime(model, block, "phi1", k),
                           _values_by_regime(model, block, "phi2", k))
-        return np.abs(np.linalg.eigvals(stack)).max(axis=-1) < 1.0
+        return spectral_radius(stack) < 1.0
     raise ConfigurationError(f"unknown regularity kind {kind!r}")
 
 

@@ -44,7 +44,8 @@ class CoherenceReport:
 
 @dataclass(frozen=True)
 class StationarityResult:
-    """Stationarity verdict; ``boundary`` flags a radius within tol of 1."""
+    """Stationarity verdict; ``boundary`` flags a radius within the eigensolver's
+    accuracy of 1 (derived from the matrix), which is then not ``stationary``."""
 
     stationary: bool
     rho: float

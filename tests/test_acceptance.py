@@ -28,6 +28,7 @@ from mixprior import (
     coherent_normal_forward,
     coherent_normal_prec_forward,
     coherent_product,
+    companion_spectral_radius,
     feasible_k_range,
     mc_conditional_check,
     parse_model,
@@ -171,10 +172,10 @@ def test_criterion_05_spectral_collapse_identity():
         regime = CompanionMatrix(phi1, phi2)
         problem = StationarityProblem(p=p, regimes=(regime,) * k)
         rho_block = spectral_radius(build_p2(problem))
-        rho_companion = spectral_radius(regime.as_array(), tol=1e-12)
+        rho_companion = spectral_radius(regime.as_array())
         worst = max(worst, abs(rho_block - rho_companion ** 2))
     oracle = (0.5 + math.sqrt(1.45)) / 2.0
-    companion_err = abs(spectral_radius(CompanionMatrix(0.5, 0.3).as_array(), tol=1e-12) - oracle)
+    companion_err = abs(spectral_radius(CompanionMatrix(0.5, 0.3).as_array()) - oracle)
     elapsed = time.perf_counter() - start
     _verdict(5, "block-matrix radius collapses to the squared companion radius",
              worst <= 1e-8 and companion_err <= 1e-10 and elapsed < 10.0,
@@ -182,25 +183,56 @@ def test_criterion_05_spectral_collapse_identity():
              f"{elapsed:.1f}s")
 
 
-def test_criterion_06_spectral_radius_vs_dense_eigensolver():
+def _known_spectrum_matrix(rng):
+    """A signed ``V D V^-1`` with real and rotation blocks in D, and its exact radius."""
+    n_real, n_pairs = int(rng.integers(0, 8)), int(rng.integers(0, 6))
+    if n_real + 2 * n_pairs < 2:
+        n_real = 2
+    n = n_real + 2 * n_pairs
+    d = np.zeros((n, n))
+    moduli = []
+    for i in range(n_real):
+        d[i, i] = rng.uniform(-3.0, 3.0)
+        moduli.append(abs(d[i, i]))
+    for j in range(n_pairs):
+        i = n_real + 2 * j
+        a, b = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)
+        d[i:i + 2, i:i + 2] = [[a, -b], [b, a]]
+        moduli.append(math.hypot(a, b))
+    while True:
+        v = rng.normal(size=(n, n))
+        if np.linalg.cond(v) <= 100.0:
+            break
+    return v @ d @ np.linalg.inv(v), max(moduli)
+
+
+def test_criterion_06_spectral_radius_vs_independent_radii():
     rng = np.random.default_rng(SEED + 6)
-    worst = 0.0
+    worst = {"known spectrum": 0.0, "p = I": 0.0, "collapse": 0.0}
     for i in range(200):
         if i % 2 == 0:
-            n = int(rng.integers(2, 21))
-            a = rng.normal(scale=float(rng.uniform(0.2, 3.0)), size=(n, n))
+            a, oracle = _known_spectrum_matrix(rng)
+            case = "known spectrum"
         else:
-            # switching-AR(2) shaped block matrices with mixed-sign coefficients
+            # switching-AR(2) block matrices with mixed-sign coefficients, whose
+            # radius the closed-form companion radius gives
             k = int(rng.integers(1, 6))
-            p = rng.dirichlet(np.ones(k), size=k)
             regimes = tuple(CompanionMatrix(float(rng.uniform(-1.5, 1.5)),
                                             float(rng.uniform(-1.0, 1.0)))
                             for _ in range(k))
+            if i % 4 == 1:
+                # p = I: block-diagonal, rho = max_r rho(Phi_r)^2
+                p, case = np.eye(k), "p = I"
+            else:
+                # equal regimes: rho = rho(Phi)^2 whatever the transition matrix
+                p, case = rng.dirichlet(np.ones(k), size=k), "collapse"
+                regimes = (regimes[0],) * k
             a = build_p2(StationarityProblem(p=p, regimes=regimes))
-        oracle = float(np.max(np.abs(np.linalg.eigvals(a))))
-        worst = max(worst, abs(spectral_radius(a, tol=1e-10) - oracle))
-    _verdict(6, "repeated-squaring radius vs dense eigensolver on 200 signed matrices",
-             worst <= 1e-8, f"worst deviation {worst:.2e}")
+            oracle = max(companion_spectral_radius(r.phi1, r.phi2) for r in regimes) ** 2
+        worst[case] = max(worst[case], abs(spectral_radius(a) - oracle))
+    _verdict(6, "eigensolver radius vs independent radii on 200 signed matrices",
+             max(worst.values()) <= 1e-8,
+             ", ".join(f"{case} {err:.2e}" for case, err in worst.items()))
 
 
 def test_criterion_07_constrained_sampler_matches_plain_mc_mass():

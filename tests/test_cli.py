@@ -150,6 +150,16 @@ def test_stationarity_from_model_prior_means(model_paths, capsys):
     assert "rho = 0.25" in out and "verdict: stationary" in out
 
 
+def test_stationarity_defective_block_matrix_gives_the_collapse_radius(capsys):
+    # both regimes have the double companion root 0.9, so rho = 0.81 exactly
+    rc = main(["stationarity", "--p", "0.5,0.5;0.5,0.5", "--phi", "1.8,-0.81;1.8,-0.81",
+               "--format", "machine"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["rho"] - 0.81) <= 1e-8
+    assert payload["stationary"] is True and payload["boundary"] is False
+
+
 def test_stationarity_nonstationary_exits_one(capsys):
     rc = main(["stationarity", "--p", "1.0", "--phi", "1.1,0.0"])
     assert rc == 1
@@ -197,6 +207,31 @@ def test_huge_k_stationarity_is_input_error_before_allocating(tmp_path, capsys):
     assert main(["stationarity", "--model", str(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model.k" in err, err
+
+
+_ADDRESS_SPACE_CHILD = """\
+import os
+import resource
+import sys
+# an address-space cap makes any oversized allocation fail at once instead of
+# touching memory; 2 GiB is ample for the interpreter and a one-thread numpy
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import mixprior.cli as c
+sys.exit(c.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "grid", "--grid-lo", "0.1", "--grid-hi", "5", "--grid-n", "100000000000"],
+    ["--method", "mc", "--n-draws", "100000000000"],
+], ids=["grid-n", "n-draws"])
+def test_huge_verify_sizes_are_input_errors_before_allocating(argv, tmp_path):
+    pair = ["--component", "gamma(a_breve=3, b_breve=1)",
+            "--component", "gamma(a_breve=4, b_breve=1)"]
+    child = _run_child(_ADDRESS_SPACE_CHILD, ["verify", *argv, *pair], tmp_path)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error:") and "Traceback" not in child.stderr, child.stderr
 
 
 def test_malformed_document_is_input_error(tmp_path, capsys):

@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     ],
     "constraints": [
         "CompanionMatrix", "ConfigurationError", "OrderingConstraint", "ParameterDraw",
-        "RejectionCapError", "SpectralRadiusError", "StationarityProblem",
+        "RejectionCapError", "StationarityProblem",
         "StationarityResult", "build_p2", "companion_spectral_radius", "indicator_ordered",
         "is_stationary_ar2", "is_stationary_msar2", "regularity_indicator",
         "sample_constrained_priors", "sample_ordered", "spectral_radius",
