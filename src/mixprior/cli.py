@@ -150,11 +150,10 @@ def _cmd_verify(args) -> int:
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
     methods = ["grid", "mc"] if args.method == "both" else [args.method]
     if "grid" in methods and args.grid_n > MAX_GRID_N:
-        raise _InputError(f"--grid-n: the grid oracle takes at most {MAX_GRID_N} points, "
-                          f"got {args.grid_n}")
+        raise _InputError(f"--grid-n: at most {MAX_GRID_N} grid points, got {args.grid_n}")
     if "mc" in methods and args.n_draws * group.k > MAX_MC_VALUES:
-        raise _InputError(f"--n-draws: the Monte Carlo check takes at most {MAX_MC_VALUES} "
-                          f"draws times components, got {args.n_draws} x {group.k}")
+        raise _InputError(f"--n-draws: at most {MAX_MC_VALUES} draws x components, "
+                          f"got {args.n_draws} x {group.k}")
     rng = np.random.default_rng(args.seed)
     outputs = []
     all_passed = True

@@ -6,9 +6,10 @@ second-order stationarity check for Markov-switching AR(2) models through
 the block matrix built from transition probabilities and squared companion
 matrices, and rejection sampling from constrained priors.
 
-Every radius but the closed-form AR(2) companion radius is one eigensolve,
-``spectral_radius``; a verdict within the solver's derived accuracy of 1 is
-flagged ``boundary``.
+Every radius but the closed-form AR(2) companion radius comes from one
+eigensolve: ``spectral_radius`` on a matrix or a stack, and for the verdicts
+one with eigenvectors, which also gives its accuracy band; a radius within
+the band of 1 is flagged ``boundary``.
 
 The rejection sampler draws and checks candidates in blocks of arrays: one
 sized draw per prior, one regularity mask per block and, for switching
@@ -168,32 +169,54 @@ def build_p2(problem: StationarityProblem) -> np.ndarray:
     return _p2_stack(problem.p[None], phi[None, :, 0], phi[None, :, 1])[0]
 
 
-def spectral_radius(a):
-    """Largest eigenvalue modulus of a matrix ``(n, n)`` (a float) or a stack ``(..., n, n)``."""
+def _square_finite(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    rho = np.abs(np.linalg.eigvals(a)).max(-1)
+    return a
+
+
+def spectral_radius(a):
+    """Largest eigenvalue modulus of a matrix ``(n, n)`` (a float) or a stack ``(..., n, n)``."""
+    rho = np.abs(np.linalg.eigvals(_square_finite(a))).max(-1)
     return float(rho) if rho.ndim == 0 else rho
 
 
-def _accuracy_band(a: np.ndarray) -> float:
-    """How far the computed radius of ``a`` may lie from the exact one.
+def _radius_and_band(a) -> tuple[float, float]:
+    """The radius of one matrix and how far it may lie from the exact one, from one eigensolve.
 
-    The computed eigenvalues are exact for a matrix within about
-    ``delta = n eps max|a_ij|`` of ``a`` (the largest entry cannot overflow,
-    a norm can), and that moves an eigenvalue of a Jordan block of size m by
-    up to ``delta^(1/m)``.  The band is ``2 delta^(1/m)`` for the largest m
-    with m computed eigenvalues that close to the top one.
+    In units of ``max|a_ij|`` (so no norm overflows) the eigenvalues are exact
+    for a matrix within ``delta = n eps |b|_F``, which moves the top one by
+    ``kappa delta`` to first order; kappa comes from its right eigenvector and
+    its left one (one step of inverse iteration), and stays small for copies
+    of a semisimple eigenvalue.  Where that move reaches m - 1 eigenvalues
+    whose eigenvectors lie near the top one, the m split from one Jordan
+    block, which moves by at most about ``|b|_F (n eps)^(1/m)``.
     """
-    eigenvalues = np.linalg.eigvals(a)
-    n = a.shape[0]
-    top = eigenvalues[np.argmax(np.abs(eigenvalues))]
-    gaps = np.sort(np.abs(eigenvalues - top))
-    widths = 2.0 * (n * np.finfo(float).eps * np.abs(a).max()) ** (1.0 / np.arange(1, n + 1))
-    return float(np.max(widths, where=gaps <= widths, initial=0.0))
+    a = _square_finite(a)
+    eigenvalues, vectors = np.linalg.eig(a)
+    scale = float(np.abs(a).max()) or 1.0
+    n, eps = a.shape[0], float(np.finfo(float).eps)
+    b, shifted = a / scale, eigenvalues / scale
+    top = np.argmax(np.abs(shifted))
+    x = vectors[:, top]
+    norm = float(np.linalg.norm(b))
+    delta = n * eps * norm
+    try:
+        y = np.linalg.solve((b - (shifted[top] + delta) * np.eye(n)).conj().T, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = y / np.abs(y).max()  # its norm must not underflow
+            move = float(delta * np.linalg.norm(y) / abs(np.vdot(y, x)))
+    except np.linalg.LinAlgError:
+        move = math.inf
+    move = move if move < math.inf else math.inf  # NaN too: kappa unbounded
+    chain = (np.abs(shifted - shifted[top]) <= move) & (np.abs(x.conj() @ vectors) >= 0.5)
+    m = int(chain.sum())
+    if m > 1 or move == math.inf:  # the first order fails, or kappa is unknown
+        move = min(move, 2.0 * norm * (n * eps) ** (1.0 / m))
+    return float(np.abs(eigenvalues).max()), scale * move
 
 
 def companion_spectral_radius(phi1, phi2):
@@ -211,14 +234,9 @@ def companion_spectral_radius(phi1, phi2):
 
 def is_stationary_msar2(problem: StationarityProblem) -> StationarityResult:
     """Sufficient second-order stationarity check: rho of the block matrix < 1, outside the band."""
-    a = build_p2(problem)
-    rho = spectral_radius(a)
-    boundary = abs(rho - 1.0) <= _accuracy_band(a)
+    rho, band = _radius_and_band(build_p2(problem))
+    boundary = abs(rho - 1.0) <= band
     return StationarityResult(stationary=rho < 1.0 and not boundary, rho=rho, boundary=boundary)
-
-
-# roots nearly double, but not within the derived band, cost up to ~eps / gap
-_AR2_BOUNDARY_BAND = 1e-8
 
 
 def is_stationary_ar2(phi1: float, phi2: float) -> bool:
@@ -228,12 +246,10 @@ def is_stationary_ar2(phi1: float, phi2: float) -> bool:
     disagreement outside the solver's accuracy band signals a numerical bug.
     """
     phi1, phi2 = float(phi1), float(phi2)
-    companion = CompanionMatrix(phi1, phi2).as_array()
-    rho = spectral_radius(companion)
+    rho, band = _radius_and_band(CompanionMatrix(phi1, phi2).as_array())
     by_radius = rho < 1.0
     by_triangle = (phi2 > -1.0) and (phi1 + phi2 < 1.0) and (phi2 - phi1 < 1.0)
-    if by_radius != by_triangle and abs(rho - 1.0) > max(_AR2_BOUNDARY_BAND,
-                                                         _accuracy_band(companion)):
+    if by_radius != by_triangle and abs(rho - 1.0) > band:
         raise AssertionError(
             f"stationarity checks disagree at phi=({phi1}, {phi2}): "
             f"rho={rho!r} vs triangle={by_triangle}"
@@ -348,7 +364,9 @@ def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarra
     companion radius for nested and intermediate models and the block-matrix
     radius, from one ``spectral_radius`` call on the stack, for fully
     switching models.  Random continuous draws give a defective matrix with
-    probability zero, so the eigenvalues are accurate to rounding.
+    probability zero, so the eigenvalues are accurate to rounding and the
+    mask leaves out the accuracy band of ``is_stationary_msar2``: the two
+    disagree only on draws within a few ulps of rho = 1.
     """
     kind = model.regularity
     if kind == "none":

@@ -44,8 +44,7 @@ class CoherenceReport:
 
 @dataclass(frozen=True)
 class StationarityResult:
-    """Stationarity verdict; ``boundary`` flags a radius within the eigensolver's
-    accuracy of 1 (derived from the matrix), which is then not ``stationary``."""
+    """Stationarity verdict; ``boundary`` (never ``stationary``) flags rho within its accuracy of 1."""
 
     stationary: bool
     rho: float

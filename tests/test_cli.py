@@ -160,6 +160,16 @@ def test_stationarity_defective_block_matrix_gives_the_collapse_radius(capsys):
     assert payload["stationary"] is True and payload["boundary"] is False
 
 
+def test_stationarity_of_four_identical_defective_regimes_exits_zero(capsys):
+    # p = I4 repeats the defective 0.81 block four times; still rho = 0.81
+    rc = main(["stationarity", "--p", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1",
+               "--phi", ";".join(["1.8,-0.81"] * 4), "--format", "machine"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["rho"] - 0.81) <= 1e-4
+    assert payload["stationary"] is True and payload["boundary"] is False
+
+
 def test_stationarity_nonstationary_exits_one(capsys):
     rc = main(["stationarity", "--p", "1.0", "--phi", "1.1,0.0"])
     assert rc == 1

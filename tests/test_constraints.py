@@ -282,13 +282,25 @@ def test_double_companion_root_gives_the_collapse_radius(p):
     assert result.stationary and not result.boundary
 
 
-@pytest.mark.parametrize("p", [[[1.0]], [[0.5, 0.5], [0.5, 0.5]]])
+@pytest.mark.parametrize("p", [[[1.0]], [[0.5, 0.5], [0.5, 0.5]], np.eye(4), np.eye(8)])
 def test_double_unit_root_is_boundary_not_stationary(p):
     # x^2 - 2x + 1 = (x - 1)^2: the radius is exactly 1 on a defective matrix
     phi = CompanionMatrix(2.0, -1.0)
     result = is_stationary_msar2(StationarityProblem(p=np.array(p), regimes=(phi,) * len(p)))
     assert not result.stationary
     assert result.boundary
+
+
+@pytest.mark.parametrize("p", [np.eye(4), np.eye(8), np.full((6, 6), 1.0 / 6.0)],
+                         ids=["identity4", "identity8", "uniform6"])
+@pytest.mark.parametrize("phi", [(0.7, 0.0), (1.8, -0.81)])
+def test_repeated_eigenvalues_do_not_widen_the_band(p, phi):
+    # equal regimes, so rho = rho_companion^2 < 1; the block matrix holds K
+    # copies of it (identity p) or 4K - 1 zeros (uniform p), none a unit root
+    regime = CompanionMatrix(*phi)
+    result = is_stationary_msar2(StationarityProblem(p=p, regimes=(regime,) * len(p)))
+    assert result.rho == pytest.approx(companion_spectral_radius(*phi) ** 2, abs=1e-4)
+    assert result.stationary and not result.boundary
 
 
 def _triangle(phi1, phi2):
@@ -325,6 +337,16 @@ def test_spectral_radius_of_a_stack_equals_the_per_matrix_radii():
             CompanionMatrix(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(3))))
         for _ in range(20)])
     assert spectral_radius(blocks).tolist() == [spectral_radius(a) for a in blocks]
+
+
+def test_verdict_radius_is_the_spectral_radius():
+    # the verdicts solve with eigenvectors, for the band; the radius is the same
+    rng = np.random.default_rng(SEED + 15)
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            problem = StationarityProblem(p=random_stochastic(rng, k), regimes=tuple(
+                CompanionMatrix(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(k)))
+            assert is_stationary_msar2(problem).rho == spectral_radius(build_p2(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +496,23 @@ def test_batched_p2_stack_and_mask_match_per_draw_solves():
         mask = _regular_mask(msar2_model(k=k), block, 250)
         clear = np.abs(per_draw - 1.0) > 1e-12
         assert np.array_equal(mask[clear], (per_draw < 1.0)[clear])
+
+
+def test_sampler_mask_agrees_with_the_stationarity_verdict():
+    # the mask tests rho < 1 without the accuracy band, which for continuous
+    # draws is rounding-sized, so both accept the same candidates
+    from mixprior.constraints import _regular_mask
+
+    rng = np.random.default_rng(SEED + 14)
+    for k in (2, 3, 4):
+        p, phi1, phi2 = _random_switching_block(rng, k, 200)
+        block = ParameterDraw(delta={}, groups={"phi1": phi1, "phi2": phi2}, eta=p)
+        mask = _regular_mask(msar2_model(k=k), block, 200)
+        verdicts = [is_stationary_msar2(StationarityProblem(
+            p=p[i], regimes=tuple(CompanionMatrix(a, b) for a, b in zip(phi1[i], phi2[i]))))
+            for i in range(200)]
+        assert mask.tolist() == [v.stationary for v in verdicts]
+        assert not any(v.boundary for v in verdicts)
 
 
 @pytest.mark.parametrize("n", [1, 3, 1000])
