@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
     group = _group_from_args(args)
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
     methods = ["grid", "mc"] if args.method == "both" else [args.method]
-    if "grid" in methods and args.grid_n > MAX_GRID_N:
+    if "grid" in methods and args.grid_n is not None and args.grid_n > MAX_GRID_N:
         raise _InputError(f"--grid-n: at most {MAX_GRID_N} grid points, got {args.grid_n}")
     if "mc" in methods and args.n_draws * group.k > MAX_MC_VALUES:
         raise _InputError(f"--n-draws: at most {MAX_MC_VALUES} draws x components, "
@@ -159,10 +159,8 @@ def _cmd_verify(args) -> int:
     all_passed = True
     for method in methods:
         if method == "grid":
-            grid = None
-            if args.grid_lo is not None and args.grid_hi is not None:
-                grid = (args.grid_lo, args.grid_hi, args.grid_n)
-            report = verify_product_coherence(group.components, claimed, grid=grid,
+            report = verify_product_coherence(group.components, claimed,
+                                              grid=(args.grid_lo, args.grid_hi, args.grid_n),
                                               sup_tol=args.sup_tol)
         else:
             report = mc_conditional_check(group, claimed, epsilon=args.epsilon,
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sup-tol", type=float, default=1e-6, help="grid sup-norm tolerance")
     p.add_argument("--grid-lo", type=float)
     p.add_argument("--grid-hi", type=float)
-    p.add_argument("--grid-n", type=int, default=4001)
+    p.add_argument("--grid-n", type=int)
     p.add_argument("--epsilon", type=float, default=0.02, help="contrast band half-width")
     p.add_argument("--n-draws", type=int, default=1_000_000)
     p.add_argument("--ks-alpha", type=float, default=0.001)

@@ -349,11 +349,13 @@ def _p2_stack(p: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     companion[..., 0, 0] = phi1
     companion[..., 0, 1] = phi2
     companion[..., 1, 0] = 1.0
-    # squares[m, r, i, k, j, l] = Phi_r[i, j] * Phi_r[k, l], i.e. kron(Phi_r, Phi_r)
-    squares = companion[:, :, :, None, :, None] * companion[:, :, None, :, None, :]
-    squares = squares.reshape(m, k, 4, 1, 4)
-    # stack[m, r, a, c, b] = p[m, c, r] * squares[m, r, a, b]
-    stack = p.transpose(0, 2, 1)[:, :, None, :, None] * squares
+    # huge phi overflow to inf or nan here; the radius rejects non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        # squares[m, r, i, k, j, l] = Phi_r[i, j] * Phi_r[k, l], i.e. kron(Phi_r, Phi_r)
+        squares = companion[:, :, :, None, :, None] * companion[:, :, None, :, None, :]
+        squares = squares.reshape(m, k, 4, 1, 4)
+        # stack[m, r, a, c, b] = p[m, c, r] * squares[m, r, a, b]
+        stack = p.transpose(0, 2, 1)[:, :, None, :, None] * squares
     return stack.reshape(m, 4 * k, 4 * k)
 
 

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# the grid oracle's bounds lie where its coordinate's density is 1e-18 of the mode
+_GRID_DEPTH = math.log(1e18)
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -104,6 +106,17 @@ class DistSpec:
     def mean(self):
         raise NotImplementedError
 
+    def grid_bounds(self) -> tuple[float, float]:
+        """The grid oracle's default bounds, in x, or in log x for a family on (0, inf)."""
+        raise NotImplementedError(f"no grid oracle for {self.family!r}")
+
+
+def _log_gamma_bounds(a: float, mode: float) -> tuple[float, float]:
+    # a gamma's log density in u = log x, relative to its mode, is a (t + 1 - e^t) at
+    # t = u - mode; at either width below it is at most -a s = -_GRID_DEPTH
+    s = _GRID_DEPTH / a
+    return mode - s - math.sqrt(2.0 * s), mode + min(math.sqrt(2.0 * s), math.log(2.0 + 2.0 * s))
+
 
 @dataclass(frozen=True)
 class NormalVar(DistSpec):
@@ -146,6 +159,10 @@ class NormalVar(DistSpec):
 
     def mean(self):
         return self.m
+
+    def grid_bounds(self):
+        half = math.sqrt(2.0 * _GRID_DEPTH * self.v)
+        return self.m - half, self.m + half
 
 
 @dataclass(frozen=True)
@@ -193,6 +210,10 @@ class NormalPrec(DistSpec):
 
     def mean(self):
         return self.m
+
+    def grid_bounds(self):
+        half = math.sqrt(2.0 * _GRID_DEPTH / self.vprec)
+        return self.m - half, self.m + half
 
 
 @dataclass(frozen=True)
@@ -244,6 +265,9 @@ class Gamma(DistSpec):
 
     def mean(self):
         return self.a_shape / self.b_rate
+
+    def grid_bounds(self):
+        return _log_gamma_bounds(self.a_shape, math.log(self.a_shape) - math.log(self.b_rate))
 
 
 @dataclass(frozen=True)
@@ -298,6 +322,11 @@ class InvGamma(DistSpec):
         if self.a_shape <= 1.0:
             raise ValueError("inverse gamma mean requires a_shape > 1")
         return 1.0 / (self.b_scale * (self.a_shape - 1.0))
+
+    def grid_bounds(self):
+        # 1/x is gamma with rate 1/b, so the bounds are its gamma bounds mirrored
+        lo, hi = _log_gamma_bounds(self.a_shape, math.log(self.a_shape) + math.log(self.b_scale))
+        return -hi, -lo
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Two routes certify a claimed nested prior against its K component priors:
 
 * ``verify_product_coherence`` evaluates the pointwise product of the
   component densities on a grid, normalizes it by trapezoidal quadrature and
-  compares with the claimed density in sup norm.
+  compares with the claimed density in sup norm.  The grid lies in log x for
+  gamma and inverse gamma (in x for the normal families), and the sup norm
+  is taken on the density of that coordinate, ``x f(x)`` in log x.
 * ``mc_conditional_check`` approximates conditioning on the measure-zero
   event "all contrasts are zero" by retaining draws whose contrasts fall in
   an epsilon band, then runs a Kolmogorov-Smirnov test of the retained first
@@ -42,9 +44,12 @@ __all__ = [
 ]
 
 DEFAULT_SUP_TOL = 1e-6
+DEFAULT_GRID_N = 4001
 DEFAULT_KS_ALPHA = 0.001
 _MIN_KS_SAMPLES = 200
 _COVERAGE_FRACTION = 0.999
+# e^u stays inside the double range for |u| <= 700
+_LOG_X_LIMIT = 700.0
 
 
 def to_contrasts(values):
@@ -82,111 +87,73 @@ def ks_critical_value(n: int, alpha: float = DEFAULT_KS_ALPHA) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 
-def _quantile(dist: DistSpec, q: float) -> float:
-    # bisection on the CDF; good to ~1e-13 relative, plenty for grid bounds
-    lo_support, hi_support = dist.support
-    if lo_support == 0.0:
-        lo, hi = 1e-12, 1.0
-        while dist.cdf(lo) > q and lo > 1e-280:
-            lo *= 1e-2
-        while dist.cdf(hi) < q and hi < 1e280:
-            hi *= 2.0
-    else:
-        center = dist.mean()
-        lo, hi = center - 1.0, center + 1.0
-        width = 1.0
-        while dist.cdf(lo) > q:
-            width *= 2.0
-            lo -= width
-        while dist.cdf(hi) < q:
-            width *= 2.0
-            hi += width
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if dist.cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _auto_grid(claimed: DistSpec, n: int) -> tuple[float, float, int]:
-    # claimed-distribution quantiles [1e-9, 1 - 1e-9], widened to twice the span
-    q_lo = _quantile(claimed, 1e-9)
-    q_hi = _quantile(claimed, 1.0 - 1e-9)
-    half = 0.5 * (q_hi - q_lo)
-    lo = q_lo - half
-    hi = q_hi + half
-    if claimed.support[0] == 0.0:
-        lo = max(lo, q_lo * 0.25, 1e-300)
-    return lo, hi, n
-
-
-def _log_product(components, xs):
-    total = np.zeros_like(xs)
-    for c in components:
-        total += np.asarray(c.log_pdf(xs), dtype=float)
-    return total
-
-
-def _product_mass(components, lo, hi, n, offset):
-    xs = np.linspace(lo, hi, n)
-    w = np.exp(_log_product(components, xs) - offset)
-    return float(np.trapezoid(w, xs))
+def _log_density(dists, us, log_x: bool):
+    # log of the product of the densities on the grid coordinate; in u = log x it gains e^u
+    if not log_x:
+        return sum(np.asarray(d.log_pdf(us), dtype=float) for d in dists)
+    xs = np.exp(us)
+    return us + sum(np.asarray(d.log_pdf(xs), dtype=float) for d in dists)
 
 
 def verify_product_coherence(components, claimed: DistSpec, grid=None,
                              sup_tol: float = DEFAULT_SUP_TOL) -> CoherenceReport:
     """Grid-quadrature check that ``claimed`` is the normalized product density.
 
-    ``grid`` is ``(lo, hi, n)`` with ``n >= 1001``; by default the bounds come
-    from extreme quantiles of ``claimed``.  Raises :class:`GridCoverageError`
-    when the grid holds less than 99.9% of the product mass found on a grid
-    ten times as wide.
+    The grid is uniform in x for the normal families and in u = log x for
+    gamma and inverse gamma, where the trapezoid rule converges exponentially
+    for every shape and unit of x; the sup norm is taken on the density of
+    that coordinate (``x f(x)`` in log x).  ``grid`` is ``(lo, hi, n)`` with
+    bounds in x units and ``n >= 1001``; an entry left ``None`` takes the
+    closed-form bound of ``claimed`` (``DistSpec.grid_bounds``) or
+    ``DEFAULT_GRID_N``.  Raises :class:`GridCoverageError` when the grid
+    leaves the double range of x or holds less than 99.9% of the product
+    mass found on a grid ten times as wide.
     """
     components = list(components)
     if len(components) < 2:
         raise ValueError("need at least 2 components")
     if any(c.family != claimed.family for c in components):
         raise ValueError("components and claimed prior must share one family")
-    if grid is None:
-        # dense default: the trapezoid rule loses its boundary superconvergence
-        # for densities with nonzero slope at the grid edge (small gamma shapes)
-        lo, hi, n = _auto_grid(claimed, 40001)
-    else:
-        lo, hi, n = float(grid[0]), float(grid[1]), int(grid[2])
+    log_x = claimed.support[0] == 0.0
+    lo, hi, n = grid if grid is not None else (None, None, None)
+    n = DEFAULT_GRID_N if n is None else int(n)
     if n < 1001:
         raise ValueError(f"grid needs at least 1001 points, got {n}")
-    if not lo < hi:
-        raise ValueError(f"empty grid [{lo}, {hi}]")
+    if log_x and not all(x is None or x > 0.0 for x in (lo, hi)):
+        raise ValueError(f"grid bounds of {claimed.family} must be > 0, got [{lo}, {hi}]")
+    to_u, limit = (math.log, _LOG_X_LIMIT) if log_x else (float, math.inf)
+    default_lo, default_hi = claimed.grid_bounds()
+    lo = default_lo if lo is None else to_u(lo)
+    hi = default_hi if hi is None else to_u(hi)
+    where = f"[{lo:.6g}, {hi:.6g}] in {'log x' if log_x else 'x'}"
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"empty grid {where}")
+    if not -limit <= lo < hi <= limit:
+        raise GridCoverageError(f"grid {where} leaves [-{limit:g}, {limit:g}]: "
+                                "the product's tail leaves the double range")
 
-    xs = np.linspace(lo, hi, n)
-    logs = _log_product(components, xs)
-    offset = float(np.max(logs))
-    weights = np.exp(logs - offset)
-    mass = float(np.trapezoid(weights, xs))
-    if mass <= 0.0:
-        raise GridCoverageError(f"the product density vanishes on [{lo}, {hi}]")
+    # far tails overflow to zero density, and a grid that misses the product
+    # entirely to nan; the mass checks below catch the latter
+    with np.errstate(all="ignore"):
+        us = np.linspace(lo, hi, n)
+        logs = _log_density(components, us, log_x)
+        offset = float(np.max(logs))
+        weights = np.exp(logs - offset)
+        mass = float(np.trapezoid(weights, us))
+        if not mass > 0.0:
+            raise GridCoverageError(f"the product density vanishes on {where}")
 
-    # support-coverage guard against a 10x wider grid at comparable spacing
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    wide_lo, wide_hi = center - 10.0 * half, center + 10.0 * half
-    if claimed.support[0] == 0.0:
-        wide_lo = max(wide_lo, min(lo * 0.1, lo))
-        wide_lo = max(wide_lo, 1e-300)
-    wide_n = min(10 * n, 100_001)
-    wide_mass = _product_mass(components, wide_lo, wide_hi, wide_n, offset)
-    if mass < _COVERAGE_FRACTION * wide_mass:
-        raise GridCoverageError(
-            f"grid [{lo}, {hi}] covers only {mass / wide_mass:.4f} of the product mass; "
-            "widen the grid"
-        )
+        # support-coverage guard: the same number of points on a 10x wider grid
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        wide = np.linspace(max(center - 10.0 * half, -limit), min(center + 10.0 * half, limit), n)
+        wide_mass = float(np.trapezoid(np.exp(_log_density(components, wide, log_x) - offset),
+                                       wide))
+        if mass < _COVERAGE_FRACTION * wide_mass:
+            raise GridCoverageError(f"grid {where} covers only {mass / wide_mass:.4f} "
+                                    "of the product mass; widen the grid")
+        claimed_pdf = np.exp(_log_density([claimed], us, log_x))
 
-    product_pdf = weights / mass
-    claimed_pdf = np.exp(np.asarray(claimed.log_pdf(xs), dtype=float))
-    sup_err = float(np.max(np.abs(product_pdf - claimed_pdf)))
+    sup_err = float(np.max(np.abs(weights / mass - claimed_pdf)))
     return CoherenceReport(
         method="grid",
         passed=sup_err <= sup_tol,

@@ -121,6 +121,27 @@ def test_verify_detects_wrong_claim(capsys):
     assert rc == 1
 
 
+_GAMMA_PAIR = ["--component", "gamma(a_breve=2, b_breve=1)",
+               "--component", "gamma(a_breve=2, b_breve=1)"]
+
+
+def test_verify_lone_grid_n_takes_effect(capsys):
+    # below the 1001-point minimum, with the closed-form bounds on both sides
+    rc = main(["verify", "--method", "grid", "--grid-n", "5", *_GAMMA_PAIR])
+    assert rc == 2
+    assert "1001" in capsys.readouterr().err
+
+
+def test_verify_lone_grid_bound_pairs_with_the_closed_form_bound(capsys):
+    # the product Gamma(3, 2) holds about 94% of its mass below x = 3
+    rc = main(["verify", "--method", "grid", "--grid-lo", "3", *_GAMMA_PAIR])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "covers only" in err, err
+    assert main(["verify", "--method", "grid", "--grid-n", "2001", *_GAMMA_PAIR]) == 0
+    assert main(["verify", "--method", "grid", "--grid-hi", "100", *_GAMMA_PAIR]) == 0
+
+
 def test_verify_machine_output_is_deterministic(model_paths, capsys):
     args = ["verify", "--method", "mc", "--model", model_paths["msiah2"], "--group", "phi1",
             "--n-draws", "200000", "--epsilon", "0.05", "--format", "machine", "--seed", "5"]
@@ -174,6 +195,17 @@ def test_stationarity_nonstationary_exits_one(capsys):
     rc = main(["stationarity", "--p", "1.0", "--phi", "1.1,0.0"])
     assert rc == 1
     assert "not stationary" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "1", "--phi", "1e200,0"],
+    ["--p", "1,0;0,1", "--phi", "1e200,0;1e200,0"],
+], ids=["overflow", "overflow-times-zero"])
+def test_stationarity_overflowing_entries_print_only_the_error_line(argv, tmp_path):
+    child = _run_child("import sys, mixprior.cli as c\nsys.exit(c.main(sys.argv[1:]))\n",
+                       ["stationarity", *argv], tmp_path)
+    assert child.returncode == 2
+    assert child.stderr == "error: matrix entries must be finite\n"
 
 
 def test_sample_is_reproducible(model_paths, capsys):

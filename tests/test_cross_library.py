@@ -1,14 +1,19 @@
 """Cross-library checks: densities and CDFs against scipy.stats.
 
 These pin the parametrization conventions (the inverse gamma's reciprocal
-scale, the gamma's rate) to an implementation nobody in this package wrote.
+scale, the gamma's rate) to an implementation nobody in this package wrote,
+and the normalizers of the products the grid oracle certifies to adaptive
+quadrature.
 """
+
+import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
-from mixprior import Dirichlet, Gamma, InvGamma, NormalPrec, NormalVar
+from mixprior import (Dirichlet, Gamma, InvGamma, MixturePriorGroup, NormalPrec, NormalVar,
+                      coherent_product, mc_conditional_check)
 
 SEED = 1234
 
@@ -76,3 +81,65 @@ def test_invgamma_sampler_matches_scipy_distribution():
     theirs = stats.invgamma(3.0, scale=2.0).rvs(size=50_000, random_state=rng)
     stat, pvalue = stats.ks_2samp(ours, theirs)
     assert pvalue > 0.001, (stat, pvalue)
+
+
+# (family, component hyperparameter pairs): the gamma and inverse gamma
+# products the log x grid certifies and a grid in x did not
+PRODUCT_CASES = [
+    ("inv_gamma", [(0.1, 1.0)] * 2),
+    ("gamma", [(1.2, 1.0), (1.3, 1.0)]),
+    ("gamma", [(0.6, 1.0), (0.7, 1.0)]),
+] + [(family, [(3.0, b), (4.0, b)])
+     for family in ("gamma", "inv_gamma") for b in (1.0, 1e3, 1e6, 1e9)]
+
+
+def _scipy(family, a, b):
+    if family == "gamma":
+        return stats.gamma(a, scale=1.0 / b)
+    return stats.invgamma(a, scale=1.0 / b)
+
+
+def _log_normalizer(family, pairs):
+    """Closed form of log of the integral of the product of the component densities."""
+    k = len(pairs)
+    if family == "gamma":
+        shape, rate = sum(a for a, _ in pairs) - k + 1, sum(b for _, b in pairs)
+        return (sum(a * math.log(b) - math.lgamma(a) for a, b in pairs)
+                + math.lgamma(shape) - shape * math.log(rate)), (shape, rate)
+    shape, scale = sum(a for a, _ in pairs) + k - 1, 1.0 / sum(1.0 / b for _, b in pairs)
+    return (shape * math.log(scale) + math.lgamma(shape)
+            - sum(a * math.log(b) + math.lgamma(a) for a, b in pairs)), (shape, scale)
+
+
+@pytest.mark.parametrize("family, pairs", PRODUCT_CASES)
+def test_product_normalizer_matches_adaptive_quadrature(family, pairs):
+    log_c, nested = _log_normalizer(family, pairs)
+    types = {"gamma": Gamma, "inv_gamma": InvGamma}
+    claimed = coherent_product([types[family](a, b) for a, b in pairs])
+    assert claimed.params() == pytest.approx(nested, rel=1e-12)
+    ref = _scipy(family, *nested)
+    parts = [_scipy(family, a, b) for a, b in pairs]
+
+    def scaled_product(u):
+        x = math.exp(u)
+        return math.exp(sum(p.logpdf(x) for p in parts) + u - log_c)
+
+    lo, hi = math.log(ref.ppf(1e-14)), math.log(ref.isf(1e-14))
+    mode = math.log(ref.median())
+    total, _ = integrate.quad(scaled_product, lo, hi, points=[mode], epsabs=0.0,
+                              epsrel=1e-11, limit=200)
+    assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_additive_band_rejects_the_log_contrast_conditional():
+    # conditioning on log x_2 - log x_1 = 0 weights the product by x^(K-1), giving
+    # Gamma(sum a, sum b); the band on additive contrasts conditions on
+    # x_2 - x_1 = 0, whose law is the coherent product Gamma(sum a - K + 1, sum b)
+    group = MixturePriorGroup(components=(Gamma(2.0, 1.0), Gamma(3.0, 2.0)))
+    true = mc_conditional_check(group, coherent_product(group.components), epsilon=0.02,
+                                n_draws=1_000_000, rng=np.random.default_rng(SEED + 6))
+    log_contrast = mc_conditional_check(group, Gamma(5.0, 3.0), epsilon=0.02,
+                                        n_draws=1_000_000, rng=np.random.default_rng(SEED + 6))
+    assert true.passed
+    assert not log_contrast.passed
+    assert log_contrast.ks_statistic > 3.0 * log_contrast.ks_critical

@@ -1,6 +1,7 @@
 """Numeric oracle tests: KS machinery, grid product check, epsilon-band conditioning."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,75 @@ def test_grid_certifies_randomized_instances_every_family():
                   for _ in range(k)]
         report = verify_product_coherence(gammas, coherent_product(gammas))
         assert report.passed, gammas
+
+
+# ---------------------------------------------------------------------------
+# grid in log x for gamma and inverse gamma
+
+
+def _certify(components):
+    return verify_product_coherence(components, coherent_product(components))
+
+
+# exact products a grid in x failed: the heavy tail (3.07e-4), nested gamma
+# shape 1.5 (5.3e-6), large units of x (gamma 9.5e-5 at b = 1e9, inverse gamma
+# 2.1e-4 at b = 1e6) and nested shape 0.3, where the density in x is unbounded
+EXACT_PRODUCTS = {
+    "heavy_tail": [InvGamma(0.1, 1.0)] * 2,
+    "gamma_1.2_1.3": [Gamma(1.2, 1.0), Gamma(1.3, 1.0)],
+    "gamma_0.6_0.7": [Gamma(0.6, 1.0), Gamma(0.7, 1.0)],
+    **{f"{family.__name__}_3_4_b{b:g}": [family(3.0, b), family(4.0, b)]
+       for family in (Gamma, InvGamma) for b in (1.0, 1e3, 1e6, 1e9)},
+}
+
+
+@pytest.mark.parametrize("components", EXACT_PRODUCTS.values(), ids=EXACT_PRODUCTS.keys())
+def test_grid_certifies_exact_positive_products_in_log_x(components):
+    report = _certify(components)
+    assert report.passed and report.sup_norm_error <= 1e-12, report.sup_norm_error
+
+
+def test_grid_bounds_of_a_huge_shape_need_no_search():
+    # the bounds are closed-form: no cdf bisection, whose cost grew with the shape
+    start = time.perf_counter()
+    report = _certify([Gamma(1e8, 1.0)] * 2)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(report.sup_norm_error)
+
+
+@pytest.mark.parametrize("b", [1.0, 1e6])
+def test_grid_refuses_a_tail_beyond_the_double_range(b):
+    # nested shape 0.013: the log x grid would reach below -700
+    with pytest.raises(GridCoverageError):
+        _certify([Gamma(0.883, b), Gamma(0.13, b)])
+
+
+@pytest.mark.parametrize("factor", [1.25, 1.0 + 1e-3])
+@pytest.mark.parametrize("family", [Gamma, InvGamma], ids=["gamma", "inv_gamma"])
+def test_grid_rejects_a_claim_with_its_second_parameter_off(family, factor):
+    components = [family(2.0, 1.0), family(3.0, 2.0)]
+    first, second = coherent_product(components).params()
+    report = verify_product_coherence(components, family(first, factor * second))
+    assert not report.passed
+    assert report.sup_norm_error > 1e-4
+
+
+def test_explicit_grid_of_a_positive_family_is_in_x_above_zero():
+    components = [Gamma(2.0, 1.0)] * 2
+    claimed = coherent_product(components)
+    assert verify_product_coherence(components, claimed, grid=(1e-6, 100.0, 4001)).passed
+    with pytest.raises(ValueError):
+        verify_product_coherence(components, claimed, grid=(0.0, 100.0, 4001))
+
+
+def test_grid_entries_left_none_take_their_defaults():
+    components = [Gamma(2.0, 1.0)] * 2
+    claimed = coherent_product(components)
+    default = verify_product_coherence(components, claimed)
+    assert verify_product_coherence(components, claimed, grid=(None, None, None)) == default
+    assert verify_product_coherence(components, claimed, grid=(None, None, 2001)).passed
+    with pytest.raises(GridCoverageError):
+        verify_product_coherence(components, claimed, grid=(3.0, None, None))
 
 
 # ---------------------------------------------------------------------------
