@@ -66,7 +66,8 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
     Identical components admit an exact construction (sort one iid draw,
     valid because the constrained density is the symmetric product restricted
     to the nondecreasing cone).  Heterogeneous components fall back to
-    rejection sampling with an attempt cap.
+    rejection sampling with an attempt cap, in batches sized from the
+    acceptance seen so far.
     """
     if not group.ordered:
         raise ValueError("group does not carry an ordering constraint")
@@ -86,12 +87,13 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
     rows: list[np.ndarray] = []
     accepted = 0
     attempts = 0
-    # one row starts from a small batch that doubles on every miss; sized
-    # calls keep the fixed floor their seeded streams depend on
-    floor = 4 if size is None else 1024
     while accepted < n:
-        batch = min(max(4 * (n - accepted), floor), max_attempts - attempts)
-        floor = min(2 * floor, 1024)
+        need = n - accepted
+        # a quarter more than expected at the rate (accepted + 1) / (attempts + 2),
+        # as sample_constrained_priors sizes its blocks, and never more than
+        # four proposals per row still needed (1024 when few rows remain)
+        batch = min(math.ceil(1.25 * need * (attempts + 2) / (accepted + 1)),
+                    max(4 * need, 1024), max_attempts - attempts)
         if batch <= 0:
             rate = accepted / attempts if attempts else 0.0
             raise RejectionCapError(
@@ -99,11 +101,11 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
                 f"(empirical acceptance rate {rate:.3g})",
                 attempts=attempts, accepted=accepted,
             )
-        proposal = np.column_stack(
-            [np.asarray(c.sample(rng, size=batch), dtype=float) for c in group.components]
-        )
-        keep = np.all(np.diff(proposal, axis=1) >= 0.0, axis=1)
-        rows.append(proposal[keep])
+        columns = [np.asarray(c.sample(rng, size=batch), dtype=float) for c in group.components]
+        keep = columns[1] >= columns[0]
+        for low, high in zip(columns[1:], columns[2:]):
+            keep &= high >= low
+        rows.append(np.column_stack([column[keep] for column in columns]))
         accepted += int(keep.sum())
         attempts += batch
     draws = np.concatenate(rows, axis=0)[:n]
@@ -281,8 +283,9 @@ def _block_cap(model: "ModelSpec") -> int:
     """Most candidates per block: the budget over a candidate's bytes, drawn and checked."""
     values = len(model.delta_priors) + sum(row.dim for row in model.eta_prior or ())
     for group in model.groups.values():
-        # a heterogeneous ordered group proposes about four rows per candidate
-        values += group.k * (8 if group.ordered and not group.identical else 1)
+        # a heterogeneous ordered group proposes 2.5 rows per candidate in its
+        # first batch and at most four in a later one, then stacks the kept rows
+        values += group.k * (6 if group.ordered and not group.identical else 1)
     if model.regularity == "ar2_stationarity":
         values += 12  # temporaries of the closed-form companion radius
     elif model.regularity == "msar2_stationarity":

@@ -5,14 +5,17 @@ stationarity check (:class:`StationarityResult`) are defined here, next to
 the plan report they are emitted with, so that emitting a report never
 imports numpy.  ``verify`` and ``constraints`` re-export them.
 
-The machine format is schema-versioned JSON (``"schema": "v1"``) emitted with
-sorted keys and fixed separators, so identical reports serialize to identical
-bytes and every serialization re-parses to an identical in-memory object.
+The machine format is strict, schema-versioned JSON (``"schema": "v1"``)
+emitted with sorted keys and fixed separators, so identical reports serialize
+to identical bytes and every serialization re-parses to an identical
+in-memory object.  A non-finite float is written as ``null``; a plan
+pairing's ``null`` discrepancy reads back as infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .plan import PairingResult, PlanReport
@@ -51,8 +54,24 @@ class StationarityResult:
     boundary: bool
 
 
+def _finite(value):
+    # the payload with every non-finite float as None
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+    """Strict JSON: sorted keys, fixed separators, and null for NaN and infinities."""
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False)
+    except ValueError:  # a non-finite float; finite payloads skip the rewrite
+        return json.dumps(_finite(payload), sort_keys=True, separators=(", ", ": "),
+                          allow_nan=False)
 
 
 def _coherence_payload(report: CoherenceReport) -> dict:
@@ -134,7 +153,8 @@ def from_machine(text: str):
     if kind == "plan":
         results = tuple(
             PairingResult(name=p["name"], rule=p["rule"], passed=p["passed"],
-                          discrepancy=p["discrepancy"], detail=p["detail"])
+                          discrepancy=math.inf if p["discrepancy"] is None else p["discrepancy"],
+                          detail=p["detail"])
             for p in payload["pairings"]
         )
         return PlanReport(nested_name=payload["nested"], general_name=payload["general"],

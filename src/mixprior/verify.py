@@ -12,7 +12,9 @@ Two routes certify a claimed nested prior against its K component priors:
   an epsilon band, then runs a Kolmogorov-Smirnov test of the retained first
   coordinate against the claimed CDF.  The exact conditional equality is out
   of reach for simulation, so this certifies a convergent approximation at
-  significance ``alpha``.
+  significance ``alpha``.  Draws stream through blocks of a fixed number of
+  rows, and the band is tested one contrast column at a time, so memory is
+  one block plus the retained first coordinates, whatever ``n_draws``.
 
 Everything in here is a pure function of its inputs (plus the supplied
 generator), so identical seeds reproduce reports bit for bit and callers may
@@ -162,20 +164,29 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     )
 
 
-def _group_draws(group: MixturePriorGroup, n: int, rng: np.random.Generator) -> np.ndarray:
-    if group.ordered:
-        return np.asarray(sample_ordered(group, rng, size=n), dtype=float)
-    if group.identical:
-        return np.asarray(group.components[0].sample(rng, size=(n, group.k)), dtype=float)
-    return np.column_stack(
-        [np.asarray(c.sample(rng, size=n), dtype=float) for c in group.components]
-    )
+# working-set budget of one float64 column of a band-check block; a block
+# holds its K columns (a heterogeneous ordered group up to about 4K proposed
+# ones) and the band mask, whatever the number of draws
+_BLOCK_BYTES = 1 << 19
+_BLOCK_ROWS = _BLOCK_BYTES // 8
 
 
 def _retained_first_coordinates(group, epsilon, n, rng):
-    draws = _group_draws(group, n, rng)
-    tau = draws[:, 1:] - draws[:, :1]
-    return draws[np.max(np.abs(tau), axis=1) < epsilon, 0]
+    # yields, block by block, the first coordinates of the draws inside the
+    # band max_i |x_i - x_1| < epsilon, built one column at a time
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        if group.ordered:
+            columns = sample_ordered(group, rng, size=m).T
+        elif group.identical:
+            columns = group.components[0].sample(rng, size=(m, group.k)).T
+        else:
+            columns = [c.sample(rng, size=m) for c in group.components]
+        first = columns[0]
+        inside = np.abs(columns[1] - first) < epsilon
+        for column in columns[2:]:
+            inside &= np.abs(column - first) < epsilon
+        yield first[inside]
 
 
 def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: float,
@@ -189,6 +200,14 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     independent generators; with a sequence the draws are partitioned evenly
     across the streams (workers may run them independently) and the retained
     samples are pooled before the test.
+
+    Each stream's draws come in blocks of ``_BLOCK_ROWS`` rows, and only the
+    retained first coordinates outlive a block.  Identical groups, plain or
+    ordered, draw a block as one ``(m, K)`` call, so their reports equal those
+    of drawing every row at once, whatever the block size.  Heterogeneous
+    groups draw one ``(m,)`` call per component (ordered ones one sized
+    ``sample_ordered`` call), so their streams, and seeded reports, depend on
+    the block size.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)
@@ -201,18 +220,16 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     if group.k < 2:
         raise ValueError("need a group with K >= 2 components")
 
-    if isinstance(rng, np.random.Generator):
-        retained = _retained_first_coordinates(group, epsilon, n_draws, rng)
-    else:
-        streams = list(rng)
-        if not streams:
-            raise ValueError("need at least one generator")
-        share, remainder = divmod(n_draws, len(streams))
-        counts = [share + (1 if i < remainder else 0) for i in range(len(streams))]
-        retained = np.concatenate([
-            _retained_first_coordinates(group, epsilon, n, stream)
-            for n, stream in zip(counts, streams)
-        ])
+    streams = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if not streams:
+        raise ValueError("need at least one generator")
+    share, remainder = divmod(n_draws, len(streams))
+    counts = [share + (1 if i < remainder else 0) for i in range(len(streams))]
+    retained = np.concatenate([
+        kept
+        for n, stream in zip(counts, streams)
+        for kept in _retained_first_coordinates(group, epsilon, n, stream)
+    ])
     n_retained = int(retained.size)
     if n_retained < _MIN_KS_SAMPLES:
         raise InsufficientRetentionError(

@@ -1,6 +1,7 @@
 """Ordering and stationarity constraint tests with independent matrix oracles."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -107,24 +108,43 @@ def test_sample_ordered_one_row_draws_a_few_variates():
 
 
 def test_sample_ordered_sized_streams_are_pinned():
-    # values of the fixed sized-call batch rule; the Monte Carlo band check draws these streams
+    # values of the rate-sized batch rule (2.5 rows per row in the first batch,
+    # then 1.25 times the rows still needed over the acceptance seen so far);
+    # the constrained-prior sampler and the Monte Carlo band check draw these streams
     group = MixturePriorGroup(
         components=(NormalVar(0.5, 1.0), NormalVar(0.0, 2.0), NormalVar(-0.2, 0.5)), ordered=True)
     pinned = {
-        (3, 4): [[0.10919902276534527, 0.5471623766411983, 1.1810412455900168],
-                 [-1.534167273443428, -0.5097876930120673, -0.045042362838924904],
-                 [-0.6912266816177808, 0.16619304396201656, 0.5465835172338174],
-                 [-0.7490970090955427, -0.06304438760747086, 1.3089218130006093]],
-        (11, 6): [[-1.0143835037313955, -0.2855583427632837, -0.12449301721255476],
-                  [-0.23879003147580646, 0.3215623298460397, 0.5052900680101315],
-                  [-0.37626168874420773, 0.011645717361764929, 0.1706671634657252],
-                  [0.406139219813656, 0.42316680337001933, 0.8708090330054725],
-                  [-0.784916570539673, -0.34132224081333556, 0.0440159865537158],
-                  [0.013824332858566657, 0.49872820235736054, 0.7822281279419354]],
+        (3, 4): [[-2.0556650313141818, -0.4986952518682819, 0.8930604063921406],
+                 [-1.519986129147251, 0.681573704749467, 1.168313871104244],
+                 [-0.4596447598081417, 0.2740967155475319, 0.28799190484693193],
+                 [-1.534167273443428, -0.8615617247052655, -0.46322089810535244]],
+        (11, 6): [[-0.23879003147580646, -0.2326399189055047, 0.03880097368928362],
+                  [-1.2677185771429749, -0.27922654698689564, -0.07661020103386723],
+                  [-1.0996692880514796, -0.7146042821716435, -0.06415745530375208],
+                  [-0.9476446987755465, -0.31290064135821277, -0.28288857355051344],
+                  [-0.6298291140131056, -0.6103751800924619, 0.10646003829192074],
+                  [-0.22377656012471792, 0.4156678457820975, 0.8295273744076346]],
     }
     for (seed, n), rows in pinned.items():
         draws = sample_ordered(group, np.random.default_rng(seed), size=n)
         assert draws.tolist() == rows
+
+
+@pytest.mark.parametrize("shift", [-1.0, 0.2, 1.0])
+def test_sample_ordered_sized_calls_follow_the_acceptance(shift):
+    # x_2 - x_1 ~ N(shift, 2), so a pair is ordered with probability Phi(shift / sqrt 2);
+    # past the first batch of 2.5 rows per row, a batch holds 1.25 times the
+    # rows still needed over the acceptance seen so far
+    group = MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(shift, 1.0)),
+                              ordered=True)
+    acceptance = NormalDist().cdf(shift / math.sqrt(2.0))
+    for n in (1000, 20_000):
+        for seed in range(5):
+            rng = _CountingRng(seed)
+            draws = sample_ordered(group, rng, size=n)
+            assert draws.shape == (n, 2) and np.all(draws[:, 0] <= draws[:, 1])
+            proposals = sum(rng.sizes) / 2
+            assert proposals <= max(1.6 / acceptance, 2.5) * n, (n, seed, rng.sizes)
 
 
 def test_sample_ordered_cap_exhaustion():

@@ -15,3 +15,11 @@ def test_demo_runs_clean(script):
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "mc_conditional_check" in code and "assert report.passed" in code
+    exec(compile(code, "README.md", "exec"), {})

@@ -1,6 +1,8 @@
 """Cross-model pairing tests: rule derivation, plan checking, family construction."""
 
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -133,6 +135,25 @@ def test_build_family_model_mixture_kind(ar2_doc):
 def test_plan_report_machine_round_trip(ar2_doc, msiah2_doc):
     report = check_plan(plan_between(parse_model(ar2_doc), parse_model(msiah2_doc)))
     text = to_machine(report)
+    again = from_machine(text)
+    assert again == report
+    assert to_machine(again) == text
+
+
+def test_missing_parameter_plan_is_strict_json_and_round_trips(ar2_doc, msiah2_doc):
+    nested = parse_model(ar2_doc)
+    general = parse_model(msiah2_doc)
+    extra = MixturePriorGroup(components=(NormalPrec(0.0, 1.0),) * general.k, label="extra")
+    general = dataclasses.replace(general, groups={**general.groups, "extra": extra})
+    report = check_plan(plan_between(nested, general))
+    assert math.inf in [r.discrepancy for r in report.results]
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = to_machine(report)
+    payload = json.loads(text, parse_constant=refuse)
+    assert None in [p["discrepancy"] for p in payload["pairings"]]
     again = from_machine(text)
     assert again == report
     assert to_machine(again) == text

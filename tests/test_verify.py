@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mixprior import (
     InsufficientRetentionError,
     InvGamma,
     MixturePriorGroup,
+    NormalPrec,
     NormalVar,
     coherent_product,
     from_contrasts,
@@ -24,6 +26,8 @@ from mixprior import (
     to_contrasts,
     verify_product_coherence,
 )
+from mixprior import verify
+from mixprior.cli import MAX_MC_DRAWS
 from mixprior.reports import to_machine
 
 SEED = 511
@@ -310,6 +314,74 @@ def _count_retained(group, epsilon, n, rng):
     draws = group.components[0].sample(rng, size=(n, group.k))
     tau = draws[:, 1:] - draws[:, :1]
     return int((np.max(np.abs(tau), axis=1) < epsilon).sum())
+
+
+_K3_COMPONENTS = (NormalPrec(0.5, 4.0), NormalPrec(0.0, 2.0), NormalPrec(1.0, 1.0))
+
+
+@pytest.mark.parametrize("group", [
+    MixturePriorGroup(components=_K3_COMPONENTS),
+    MixturePriorGroup(components=_K3_COMPONENTS, ordered=True),
+    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3),
+], ids=["heterogeneous", "heterogeneous-ordered", "identical"])
+def test_mc_check_memory_does_not_grow_with_the_draws(group):
+    # 2e6 draws of K = 3 held at once would take 46 MiB; the check streams blocks
+    claimed = coherent_product(group.components)
+    tracemalloc.start()
+    try:
+        report = mc_conditional_check(group, claimed, epsilon=0.05, n_draws=2_000_000,
+                                      rng=np.random.default_rng(SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("group", [
+    MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(1.0, 2.0))),
+    MixturePriorGroup(components=(InvGamma(3.0, 1.0),) * 8, ordered=True),
+], ids=["normal-k2", "inv-gamma-k8-ordered"])
+def test_mc_check_keeps_every_draw_within_the_cli_budget(group):
+    # an unbounded band keeps every draw; the CLI's --n-draws bound budgets
+    # 128 bytes per draw whatever K, so the peak may grow by no more than that
+    claimed = coherent_product(group.components)
+    peaks = []
+    for n in (200_000, 600_000):
+        tracemalloc.start()
+        try:
+            report = mc_conditional_check(group, claimed, epsilon=math.inf, n_draws=n,
+                                          rng=np.random.default_rng(SEED))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.n_retained == n
+    assert (peaks[1] - peaks[0]) / 400_000 < (2 << 30) / MAX_MC_DRAWS
+
+
+@pytest.mark.parametrize("block_rows", [1000, 7919])
+@pytest.mark.parametrize("ordered", [False, True], ids=["plain", "ordered"])
+def test_identical_group_report_does_not_depend_on_the_block_size(block_rows, ordered,
+                                                                  monkeypatch):
+    # one-shot reference: every draw at once, contrasts reduced along the rows
+    group = MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3, ordered=ordered)
+    claimed = coherent_product(group.components)
+    n, epsilon = 150_000, 0.1
+    draws = group.components[0].sample(np.random.default_rng(SEED), size=(n, group.k))
+    if ordered:
+        draws.sort(axis=1)
+    tau = draws[:, 1:] - draws[:, :1]
+    retained = draws[np.max(np.abs(tau), axis=1) < epsilon, 0]
+    ks = ks_statistic(retained, claimed)
+    critical = ks_critical_value(retained.size)
+    reference = CoherenceReport(method="mc_band", passed=ks < critical, ks_statistic=ks,
+                                ks_critical=critical, ks_alpha=verify.DEFAULT_KS_ALPHA,
+                                n_retained=int(retained.size), epsilon=epsilon)
+
+    monkeypatch.setattr(verify, "_BLOCK_ROWS", block_rows)
+    report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
+                                  rng=np.random.default_rng(SEED))
+    assert report == reference
 
 
 def test_mc_check_rejects_dirichlet_and_degenerate_groups():
