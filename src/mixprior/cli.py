@@ -22,7 +22,7 @@ from .errors import (ConfigurationError, GridCoverageError, InsufficientRetentio
                      RejectionCapError)
 from .modelspec import ModelFormatError, ModelSpec, format_dist, format_model, parse_dist, parse_model
 from .plan import CoherencePlan, PlanError, build_family_model, check_plan, derive_pairings
-from .reports import canonical_json, to_human, to_machine
+from .reports import canonical_json, json_number, to_human, to_machine
 
 if TYPE_CHECKING:
     from .constraints import StationarityProblem
@@ -36,12 +36,15 @@ EXIT_INPUT = 2
 # largest K that `stationarity --model` checks: its 4K x 4K matrix is then 8 MiB
 MAX_STATIONARITY_K = 256
 
-# `verify` keeps its arrays within 2 GiB: the grid oracle holds about 64 bytes
-# per point; the Monte Carlo check streams fixed blocks of draws and keeps the
-# first coordinates inside the band, up to 107 bytes per draw when every draw
-# is kept (tracemalloc peak, any K, with the KS test's sort and CDF)
-MAX_GRID_N = (2 << 30) // 64
-MAX_MC_DRAWS = (2 << 30) // 128
+# `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
+# per point.  The Monte Carlo check streams blocks of at most verify's
+# _BLOCK_ROWS draws: a block holds up to 8 values per draw and component (a
+# heterogeneous ordered group's proposals, kept copies and stacked rows), and
+# the first coordinates kept in the band take up to 107 bytes per draw when
+# every draw is kept (tracemalloc peak, any K, with the KS test's sort and CDF)
+MAX_ARRAY_BYTES = 2 << 30
+MAX_GRID_N = MAX_ARRAY_BYTES // 64
+MAX_MC_DRAWS = MAX_ARRAY_BYTES // 128
 
 
 class _InputError(Exception):
@@ -146,15 +149,19 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     import numpy as np
 
-    from .verify import mc_conditional_check, verify_product_coherence
+    from .verify import _BLOCK_ROWS, mc_conditional_check, verify_product_coherence
 
     group = _group_from_args(args)
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
     methods = ["grid", "mc"] if args.method == "both" else [args.method]
     if "grid" in methods and args.grid_n is not None and args.grid_n > MAX_GRID_N:
         raise _InputError(f"--grid-n: at most {MAX_GRID_N} grid points, got {args.grid_n}")
-    if "mc" in methods and args.n_draws > MAX_MC_DRAWS:
-        raise _InputError(f"--n-draws: at most {MAX_MC_DRAWS} draws, got {args.n_draws}")
+    if "mc" in methods:
+        need = 128 * args.n_draws + 64 * group.k * min(args.n_draws, _BLOCK_ROWS)
+        if need > MAX_ARRAY_BYTES:
+            raise _InputError(f"--n-draws: {args.n_draws} draws of {group.k} components need "
+                              f"about {need >> 20} MiB, over the {MAX_ARRAY_BYTES >> 20} MiB "
+                              "budget")
     rng = np.random.default_rng(args.seed)
     outputs = []
     all_passed = True
@@ -253,13 +260,14 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     draws, rate = sample_constrained_priors(model, args.n, rng,
                                             max_attempts=args.max_attempts)
+    number = json_number if args.format == "machine" else float
     rows = []
     for draw in draws:
-        row = {name: float(value) for name, value in draw.delta.items()}
-        row.update({label: [float(v) for v in np.asarray(values).ravel()]
+        row = {name: number(value) for name, value in draw.delta.items()}
+        row.update({label: [number(v) for v in np.asarray(values).ravel()]
                     for label, values in draw.groups.items()})
         if draw.eta is not None:
-            row["eta"] = [[float(v) for v in r] for r in np.asarray(draw.eta)]
+            row["eta"] = [[number(v) for v in r] for r in np.asarray(draw.eta)]
         rows.append(row)
     if args.format == "machine":
         _emit(args, canonical_json({"schema": "v1", "report": "sample", "model": model.name,

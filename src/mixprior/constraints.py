@@ -283,9 +283,10 @@ def _block_cap(model: "ModelSpec") -> int:
     """Most candidates per block: the budget over a candidate's bytes, drawn and checked."""
     values = len(model.delta_priors) + sum(row.dim for row in model.eta_prior or ())
     for group in model.groups.values():
-        # a heterogeneous ordered group proposes 2.5 rows per candidate in its
-        # first batch and at most four in a later one, then stacks the kept rows
-        values += group.k * (6 if group.ordered and not group.identical else 1)
+        # a heterogeneous ordered group's first batch proposes 2.5 rows per
+        # candidate and, at high acceptance, holds as many kept copies and
+        # stacked rows again: about 7.5 values per component
+        values += group.k * (8 if group.ordered and not group.identical else 1)
     if model.regularity == "ar2_stationarity":
         values += 12  # temporaries of the closed-form companion radius
     elif model.regularity == "msar2_stationarity":

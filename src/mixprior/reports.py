@@ -8,8 +8,9 @@ imports numpy.  ``verify`` and ``constraints`` re-export them.
 The machine format is strict, schema-versioned JSON (``"schema": "v1"``)
 emitted with sorted keys and fixed separators, so identical reports serialize
 to identical bytes and every serialization re-parses to an identical
-in-memory object.  A non-finite float is written as ``null``; a plan
-pairing's ``null`` discrepancy reads back as infinity.
+in-memory object.  The payload builders write a non-finite float as ``null``
+(:func:`json_number`), and :func:`from_machine` reads a ``null`` number back
+as infinity, so infinities round-trip and a NaN reads back as infinity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .plan import PairingResult, PlanReport
 
 __all__ = ["CoherenceReport", "StationarityResult", "SCHEMA_VERSION", "canonical_json",
-           "emit_report", "to_machine", "from_machine", "to_human"]
+           "json_number", "emit_report", "to_machine", "from_machine", "to_human"]
 
 SCHEMA_VERSION = "v1"
 
@@ -54,24 +55,22 @@ class StationarityResult:
     boundary: bool
 
 
-def _finite(value):
-    # the payload with every non-finite float as None
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(item) for item in value]
-    return value
+def json_number(value) -> float | None:
+    """``value`` as a float, or None (JSON ``null``) when it is absent or not finite."""
+    if value is None:
+        return None
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def _read_number(value) -> float:
+    # the inverse of json_number on a present number: null is infinity
+    return math.inf if value is None else value
 
 
 def canonical_json(payload: dict) -> str:
-    """Strict JSON: sorted keys, fixed separators, and null for NaN and infinities."""
-    try:
-        return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False)
-    except ValueError:  # a non-finite float; finite payloads skip the rewrite
-        return json.dumps(_finite(payload), sort_keys=True, separators=(", ", ": "),
-                          allow_nan=False)
+    """Strict JSON with sorted keys and fixed separators; the payload's floats must be finite."""
+    return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def _coherence_payload(report: CoherenceReport) -> dict:
@@ -80,13 +79,13 @@ def _coherence_payload(report: CoherenceReport) -> dict:
         "report": "coherence",
         "method": report.method,
         "passed": report.passed,
-        "sup_norm_error": report.sup_norm_error,
-        "sup_tol": report.sup_tol,
-        "ks_statistic": report.ks_statistic,
-        "ks_critical": report.ks_critical,
-        "ks_alpha": report.ks_alpha,
+        "sup_norm_error": json_number(report.sup_norm_error),
+        "sup_tol": json_number(report.sup_tol),
+        "ks_statistic": json_number(report.ks_statistic),
+        "ks_critical": json_number(report.ks_critical),
+        "ks_alpha": json_number(report.ks_alpha),
         "n_retained": report.n_retained,
-        "epsilon": report.epsilon,
+        "epsilon": json_number(report.epsilon),
     }
 
 
@@ -96,14 +95,14 @@ def _plan_payload(report: PlanReport) -> dict:
         "report": "plan",
         "nested": report.nested_name,
         "general": report.general_name,
-        "tol": report.tol,
+        "tol": json_number(report.tol),
         "passed": report.passed,
         "pairings": [
             {
                 "name": r.name,
                 "rule": r.rule,
                 "passed": r.passed,
-                "discrepancy": r.discrepancy,
+                "discrepancy": json_number(r.discrepancy),
                 "detail": r.detail,
             }
             for r in report.results
@@ -116,7 +115,7 @@ def _stationarity_payload(result: StationarityResult) -> dict:
         "schema": SCHEMA_VERSION,
         "report": "stationarity",
         "stationary": result.stationary,
-        "rho": result.rho,
+        "rho": json_number(result.rho),
         "boundary": result.boundary,
     }
 
@@ -132,6 +131,13 @@ def to_machine(report) -> str:
     raise TypeError(f"no machine form for {type(report).__name__}")
 
 
+_COHERENCE_FIELDS = ("method", "passed", "sup_norm_error", "sup_tol", "ks_statistic",
+                     "ks_critical", "ks_alpha", "n_retained", "epsilon")
+# the float fields each method fills in; the others stay None
+_COHERENCE_NUMBERS = {"grid": ("sup_norm_error", "sup_tol"),
+                      "mc_band": ("ks_statistic", "ks_critical", "ks_alpha", "epsilon")}
+
+
 def from_machine(text: str):
     """Rebuild the report object from its machine serialization."""
     payload = json.loads(text)
@@ -139,28 +145,22 @@ def from_machine(text: str):
         raise ValueError(f"unsupported schema {payload.get('schema')!r}")
     kind = payload.get("report")
     if kind == "coherence":
-        return CoherenceReport(
-            method=payload["method"],
-            passed=payload["passed"],
-            sup_norm_error=payload["sup_norm_error"],
-            sup_tol=payload["sup_tol"],
-            ks_statistic=payload["ks_statistic"],
-            ks_critical=payload["ks_critical"],
-            ks_alpha=payload["ks_alpha"],
-            n_retained=payload["n_retained"],
-            epsilon=payload["epsilon"],
-        )
+        fields = {name: payload[name] for name in _COHERENCE_FIELDS}
+        for name in _COHERENCE_NUMBERS.get(payload["method"], ()):
+            fields[name] = _read_number(fields[name])
+        return CoherenceReport(**fields)
     if kind == "plan":
         results = tuple(
             PairingResult(name=p["name"], rule=p["rule"], passed=p["passed"],
-                          discrepancy=math.inf if p["discrepancy"] is None else p["discrepancy"],
+                          discrepancy=_read_number(p["discrepancy"]),
                           detail=p["detail"])
             for p in payload["pairings"]
         )
         return PlanReport(nested_name=payload["nested"], general_name=payload["general"],
-                          tol=payload["tol"], results=results)
+                          tol=_read_number(payload["tol"]), results=results)
     if kind == "stationarity":
-        return StationarityResult(stationary=payload["stationary"], rho=payload["rho"],
+        return StationarityResult(stationary=payload["stationary"],
+                                  rho=_read_number(payload["rho"]),
                                   boundary=payload["boundary"])
     raise ValueError(f"unknown report kind {kind!r}")
 

@@ -165,8 +165,9 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
 
 
 # working-set budget of one float64 column of a band-check block; a block
-# holds its K columns (a heterogeneous ordered group up to about 4K proposed
-# ones) and the band mask, whatever the number of draws
+# holds its K columns (a heterogeneous ordered group up to about 8K columns of
+# proposals, kept copies and stacked rows) and the band mask, whatever the
+# number of draws
 _BLOCK_BYTES = 1 << 19
 _BLOCK_ROWS = _BLOCK_BYTES // 8
 

@@ -220,6 +220,21 @@ def test_sample_is_reproducible(model_paths, capsys):
     assert 0.0 < payload["acceptance_rate"] <= 1.0
 
 
+def test_sample_writes_infinite_draws_as_strict_json_null(tmp_path, capsys):
+    # about half the draws of inv_gamma(a=0.001) overflow 1 / gamma to infinity
+    doc = tmp_path / "wide.model"
+    doc.write_text("[model]\nname = wide\nkind = single\nk = 1\n\n"
+                   "[group.sigma2]\ncomponent = inv_gamma(a=0.001, b=1)\n")
+    assert main(["sample", "--model", str(doc), "--n", "20", "--format", "machine"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    values = [v for row in payload["draws"] for v in row["sigma2"]]
+    assert None in values and all(v is None or v > 0.0 for v in values)
+
+
 def test_missing_file_is_input_error(capsys):
     rc = main(["check-plan", "--nested", "/nonexistent.model", "--general", "/also-missing"])
     assert rc == 2
@@ -274,6 +289,17 @@ def test_huge_verify_sizes_are_input_errors_before_allocating(argv, tmp_path):
     child = _run_child(_ADDRESS_SPACE_CHILD, ["verify", *argv, *pair], tmp_path)
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("error:") and "Traceback" not in child.stderr, child.stderr
+
+
+def test_wide_verify_group_is_input_error_before_allocating(tmp_path):
+    # 100000 draws of 5000 identical components: the retained coordinates fit
+    # the budget, but one streamed block of 65536 x 5000 draws would not
+    many = ["--component", "gamma(a_breve=3, b_breve=1)"] * 5000
+    child = _run_child(_ADDRESS_SPACE_CHILD,
+                       ["verify", "--method", "mc", "--n-draws", "100000", *many], tmp_path)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error: --n-draws") and "Traceback" not in child.stderr, \
+        child.stderr
 
 
 def test_malformed_document_is_input_error(tmp_path, capsys):

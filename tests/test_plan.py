@@ -175,6 +175,32 @@ def test_emit_report_dispatch_and_stationarity_round_trip():
         emit_report(result, "yaml")
 
 
+def test_infinite_report_fields_round_trip_as_strict_json(ar2_doc, msiah2_doc):
+    import numpy as np
+
+    from mixprior import CoherenceReport, InvGamma, StationarityResult, mc_conditional_check
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    group = MixturePriorGroup(components=(InvGamma(3.0, 1.0),) * 2)
+    band = mc_conditional_check(group, coherent_product(group.components), epsilon=math.inf,
+                                n_draws=100_000, rng=np.random.default_rng(3))
+    assert band.epsilon == math.inf and band.n_retained == 100_000
+    grid = CoherenceReport(method="grid", passed=False, sup_norm_error=math.inf, sup_tol=1e-6)
+    plan_tol = check_plan(plan_between(parse_model(ar2_doc), parse_model(msiah2_doc)),
+                          tol=math.inf)
+    rho = StationarityResult(stationary=False, rho=math.inf, boundary=False)
+    for report in (band, grid, plan_tol, rho):
+        text = to_machine(report)
+        json.loads(text, parse_constant=refuse)
+        again = from_machine(text)
+        assert again == report
+        assert to_machine(again) == text
+        assert to_human(again) == to_human(report)
+    assert "inf" in to_human(from_machine(to_machine(band)))
+
+
 def test_plan_report_human_rendering(ar2_doc, msiah2_doc):
     nested = parse_model(ar2_doc)
     general = parse_model(msiah2_doc)
