@@ -37,11 +37,14 @@ EXIT_INPUT = 2
 MAX_STATIONARITY_K = 256
 
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
-# per point.  The Monte Carlo check streams blocks of at most verify's
-# _BLOCK_ROWS draws: a block holds up to 8 values per draw and component (a
-# heterogeneous ordered group's proposals, kept copies and stacked rows), and
-# the first coordinates kept in the band take up to 107 bytes per draw when
-# every draw is kept (tracemalloc peak, any K, with the KS test's sort and CDF)
+# per point.  The Monte Carlo check runs blocks of at most verify's _BLOCK_ROWS
+# draws, one in flight per worker (verify._WORKERS).  Measured by tracemalloc,
+# a block holds about 8 bytes per draw and component for a plain group, and
+# 54-96 for a heterogeneous ordered pair or triple (proposals, kept copies and
+# stacked rows); 64 are budgeted, which binds only for wide groups.  The first
+# coordinates kept in the band peak at 16 bytes per draw when every draw is
+# kept (any K: the blocks' results while they are joined, then the sample and
+# the KS test's sorted copy); 128 are budgeted
 MAX_ARRAY_BYTES = 2 << 30
 MAX_GRID_N = MAX_ARRAY_BYTES // 64
 MAX_MC_DRAWS = MAX_ARRAY_BYTES // 128
@@ -149,7 +152,7 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     import numpy as np
 
-    from .verify import _BLOCK_ROWS, mc_conditional_check, verify_product_coherence
+    from .verify import _BLOCK_ROWS, _WORKERS, mc_conditional_check, verify_product_coherence
 
     group = _group_from_args(args)
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
@@ -157,7 +160,9 @@ def _cmd_verify(args) -> int:
     if "grid" in methods and args.grid_n is not None and args.grid_n > MAX_GRID_N:
         raise _InputError(f"--grid-n: at most {MAX_GRID_N} grid points, got {args.grid_n}")
     if "mc" in methods:
-        need = 128 * args.n_draws + 64 * group.k * min(args.n_draws, _BLOCK_ROWS)
+        block = min(args.n_draws, _BLOCK_ROWS)
+        in_flight = min(_WORKERS, -(-args.n_draws // _BLOCK_ROWS))
+        need = 128 * args.n_draws + 64 * group.k * block * in_flight
         if need > MAX_ARRAY_BYTES:
             raise _InputError(f"--n-draws: {args.n_draws} draws of {group.k} components need "
                               f"about {need >> 20} MiB, over the {MAX_ARRAY_BYTES >> 20} MiB "

@@ -213,6 +213,9 @@ class NormalPrec(DistSpec):
 
     def grid_bounds(self):
         half = math.sqrt(2.0 * _GRID_DEPTH / self.vprec)
+        if half == math.inf:
+            raise ValueError(f"the variance 1/vprec = {1.0 / self.vprec:g} of the claimed "
+                             f"normal_prec(vprec={self.vprec:g}) overflows the grid")
         return self.m - half, self.m + half
 
 
@@ -315,8 +318,12 @@ class InvGamma(DistSpec):
         return _maybe_scalar(out)
 
     def sample(self, rng, size=None):
-        # if G ~ Gamma(shape=a, rate=1/b) then 1/G has the kernel above
-        return 1.0 / rng.gamma(self.a_shape, self.b_scale, size)
+        import numpy as np
+
+        # if G ~ Gamma(shape=a, rate=1/b) then 1/G has the kernel above; at
+        # small a, G underflows to 0 or below 1/DBL_MAX and 1/G is inf
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / rng.gamma(self.a_shape, self.b_scale, size)
 
     def mean(self):
         if self.a_shape <= 1.0:

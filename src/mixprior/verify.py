@@ -12,18 +12,22 @@ Two routes certify a claimed nested prior against its K component priors:
   an epsilon band, then runs a Kolmogorov-Smirnov test of the retained first
   coordinate against the claimed CDF.  The exact conditional equality is out
   of reach for simulation, so this certifies a convergent approximation at
-  significance ``alpha``.  Draws stream through blocks of a fixed number of
-  rows, and the band is tested one contrast column at a time, so memory is
-  one block plus the retained first coordinates, whatever ``n_draws``.
+  significance ``alpha``.  Draws come in blocks of 32,768 rows, each from
+  its own child generator spawned from the caller's stream, and the blocks
+  run on a thread pool with one worker per CPU (numpy's generators and
+  ufuncs release the GIL).  The band is tested one contrast column at a
+  time, so memory is one block per worker plus the retained first
+  coordinates, whatever ``n_draws``.
 
 Everything in here is a pure function of its inputs (plus the supplied
-generator), so identical seeds reproduce reports bit for bit and callers may
-partition Monte Carlo work across generators.
+generator), so identical seeds reproduce reports bit for bit, on any machine
+and whatever its number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -66,17 +70,29 @@ def from_contrasts(first, tau):
     return np.concatenate(([float(first)], tau + float(first)))
 
 
+# sorted samples per CDF call of the KS statistic: its temporaries stay a few
+# hundred KiB, and only the sorted copy grows with the sample
+_KS_CHUNK = 1 << 15
+
+
 def ks_statistic(samples, cdf) -> float:
-    """sup_x |empirical CDF - F(x)| via the sorted one-pass formula."""
+    """sup_x |empirical CDF - F(x)| via the sorted one-pass formula.
+
+    Sorts one copy of ``samples`` and evaluates ``cdf`` on fixed chunks of
+    it, folding the one-sided distances chunk by chunk.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n < 1:
         raise ValueError("need at least one sample")
     if isinstance(cdf, DistSpec):
         cdf = cdf.cdf
-    f = np.asarray(cdf(samples), dtype=float)
-    grid = np.arange(n + 1) / n
-    return float(max(np.max(f - grid[:-1]), np.max(grid[1:] - f)))
+    distance = 0.0
+    for start in range(0, n, _KS_CHUNK):
+        f = np.asarray(cdf(samples[start:start + _KS_CHUNK]), dtype=float)
+        grid = np.arange(start, start + f.size + 1) / n
+        distance = np.max([distance, np.max(f - grid[:-1]), np.max(grid[1:] - f)])
+    return float(distance)
 
 
 def ks_critical_value(n: int, alpha: float = DEFAULT_KS_ALPHA) -> float:
@@ -167,27 +183,31 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
 # working-set budget of one float64 column of a band-check block; a block
 # holds its K columns (a heterogeneous ordered group up to about 8K columns of
 # proposals, kept copies and stacked rows) and the band mask, whatever the
-# number of draws
-_BLOCK_BYTES = 1 << 19
+# number of draws, and one block is in flight per worker
+_BLOCK_BYTES = 1 << 18
 _BLOCK_ROWS = _BLOCK_BYTES // 8
 
+# band-check blocks run on one thread per CPU this process may use
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
 
-def _retained_first_coordinates(group, epsilon, n, rng):
-    # yields, block by block, the first coordinates of the draws inside the
-    # band max_i |x_i - x_1| < epsilon, built one column at a time
-    for start in range(0, n, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, n - start)
-        if group.ordered:
-            columns = sample_ordered(group, rng, size=m).T
-        elif group.identical:
-            columns = group.components[0].sample(rng, size=(m, group.k)).T
-        else:
-            columns = [c.sample(rng, size=m) for c in group.components]
-        first = columns[0]
-        inside = np.abs(columns[1] - first) < epsilon
-        for column in columns[2:]:
-            inside &= np.abs(column - first) < epsilon
-        yield first[inside]
+
+def _retained_block(group, epsilon, m, rng):
+    # the first coordinates of m draws that fall inside the band
+    # max_i |x_i - x_1| < epsilon, built one column at a time
+    if group.ordered:
+        columns = sample_ordered(group, rng, size=m).T
+    elif group.identical:
+        columns = group.components[0].sample(rng, size=(m, group.k)).T
+    else:
+        columns = [c.sample(rng, size=m) for c in group.components]
+    first = columns[0]
+    inside = np.abs(columns[1] - first) < epsilon
+    for column in columns[2:]:
+        inside &= np.abs(column - first) < epsilon
+    return first[inside]
 
 
 def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: float,
@@ -199,16 +219,15 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     ``max_i |tau_i| < epsilon`` and KS-tests the retained first coordinate
     against ``claimed``.  ``rng`` may be a single generator or a sequence of
     independent generators; with a sequence the draws are partitioned evenly
-    across the streams (workers may run them independently) and the retained
-    samples are pooled before the test.
+    across the streams and the retained samples are pooled before the test.
 
-    Each stream's draws come in blocks of ``_BLOCK_ROWS`` rows, and only the
-    retained first coordinates outlive a block.  Identical groups, plain or
-    ordered, draw a block as one ``(m, K)`` call, so their reports equal those
-    of drawing every row at once, whatever the block size.  Heterogeneous
-    groups draw one ``(m,)`` call per component (ordered ones one sized
-    ``sample_ordered`` call), so their streams, and seeded reports, depend on
-    the block size.
+    Each stream's share comes in blocks of ``_BLOCK_ROWS`` (32,768) rows, and
+    block j of ``n_blocks`` draws from ``stream.spawn(n_blocks)[j]``, so the
+    call advances each stream's spawn counter, not its bit generator.  The
+    blocks run on a thread pool with one worker per CPU and are pooled in
+    block order, so a seeded report does not depend on the number of CPUs;
+    it does depend on the block size, for identical groups too.  Only the
+    retained first coordinates outlive a block.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)
@@ -225,12 +244,18 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     if not streams:
         raise ValueError("need at least one generator")
     share, remainder = divmod(n_draws, len(streams))
-    counts = [share + (1 if i < remainder else 0) for i in range(len(streams))]
-    retained = np.concatenate([
-        kept
-        for n, stream in zip(counts, streams)
-        for kept in _retained_first_coordinates(group, epsilon, n, stream)
-    ])
+    tasks = []
+    for i, stream in enumerate(streams):
+        n = share + (1 if i < remainder else 0)
+        children = stream.spawn(-(-n // _BLOCK_ROWS))
+        tasks.extend((min(_BLOCK_ROWS, n - j * _BLOCK_ROWS), child)
+                     for j, child in enumerate(children))
+    # imported here: `verify --method grid` and the numpy-free commands skip its cost
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(tasks))) as pool:
+        retained = np.concatenate(list(pool.map(
+            lambda task: _retained_block(group, epsilon, *task), tasks)))
     n_retained = int(retained.size)
     if n_retained < _MIN_KS_SAMPLES:
         raise InsufficientRetentionError(

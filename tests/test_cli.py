@@ -302,6 +302,51 @@ def test_wide_verify_group_is_input_error_before_allocating(tmp_path):
         child.stderr
 
 
+class _BandCheckReached(Exception):
+    pass
+
+
+def test_verify_budget_counts_one_block_in_flight_per_worker(monkeypatch, capsys):
+    # 2^21 draws of 20 components make 64 blocks of 32768 rows: one block in
+    # flight fits the 2 GiB budget, 64 of them (2.5 GiB) do not
+    from mixprior import verify
+
+    def reached(*args, **kwargs):
+        raise _BandCheckReached
+
+    monkeypatch.setattr(verify, "mc_conditional_check", reached)
+    argv = ["verify", "--method", "mc", "--n-draws", str(1 << 21),
+            *["--component", "gamma(a_breve=3, b_breve=1)"] * 20]
+    monkeypatch.setattr(verify, "_WORKERS", 1)
+    with pytest.raises(_BandCheckReached):
+        main(argv)
+    monkeypatch.setattr(verify, "_WORKERS", 64)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --n-draws")
+
+
+def test_verify_machine_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
+    from mixprior import verify
+
+    args = ["verify", "--method", "both", "--n-draws", "200000", "--epsilon", "0.05",
+            "--format", "machine", "--component", "gamma(a_breve=3, b_breve=2)",
+            "--component", "gamma(a_breve=4, b_breve=1)"]
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_WORKERS", workers)
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_normal_prec_variance_overflow_is_input_error(capsys):
+    # the product of two vprec = 1e-320 priors has variance 1 / 2e-320 = inf
+    pair = ["--component", "normal_prec(m=0, vprec=1e-320)"] * 2
+    assert main(["verify", *pair]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "variance" in err and "overflows" in err, err
+
+
 def test_malformed_document_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("[model]\nname = x\nkind = wishful\nk = 1\n")

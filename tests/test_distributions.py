@@ -1,6 +1,7 @@
 """Distribution kernel tests: exact values, normalization, CDF and sampler consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,14 @@ def test_invgamma_sample_mean_matches_moment_oracle():
     draws = InvGamma(3.0, 0.5).sample(rng, size=1_000_000)
     # mean = 1 / (b (a - 1))
     assert draws.mean() == pytest.approx(1.0, abs=0.01)
+
+
+def test_invgamma_sample_overflows_to_infinity_without_warnings():
+    # at a = 0.001 about half the gamma draws fall below 1 / DBL_MAX, many to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = InvGamma(0.001, 1.0).sample(np.random.default_rng(SEED), size=1000)
+    assert np.isinf(draws).any() and (draws > 0.0).all()
 
 
 def test_sampling_is_deterministic_given_seed():

@@ -102,6 +102,43 @@ def test_ks_uniform_pseudo_samples_below_critical():
     assert stat < ks_critical_value(100_000, alpha=0.001)
 
 
+def _one_shot_ks(samples, cdf):
+    # reference: the CDF of every sorted sample in one call, against the (n + 1) grid
+    x = np.sort(samples)
+    f = cdf(x)
+    grid = np.arange(x.size + 1) / x.size
+    return max(np.max(f - grid[:-1]), np.max(grid[1:] - f))
+
+
+@pytest.mark.parametrize("dist, other", [
+    (InvGamma(3.0, 2.0), InvGamma(3.0, 2.2)),
+    (Gamma(0.7, 1.5), Gamma(0.7, 1.6)),
+    (NormalVar(1.0, 4.0), NormalVar(1.1, 4.0)),
+], ids=["inv-gamma", "gamma", "normal"])
+def test_chunked_ks_statistic_matches_a_one_shot_reference(dist, other):
+    # the incomplete-gamma series stops on the worst point of its array, so
+    # CDF values computed chunk by chunk may move in the last bit
+    samples = dist.sample(np.random.default_rng(SEED + 2), size=150_000)
+    for claim in (dist, other):
+        assert abs(ks_statistic(samples, claim) - _one_shot_ks(samples, claim.cdf)) <= 1e-15
+
+
+def test_ks_statistic_memory_grows_by_one_sorted_copy():
+    # a sorted copy takes 8 bytes per sample; the CDF runs on fixed chunks
+    dist = InvGamma(3.0, 2.0)
+    rng = np.random.default_rng(SEED)
+    peaks = []
+    for n in (150_000, 450_000):
+        samples = dist.sample(rng, size=n)
+        tracemalloc.start()
+        try:
+            ks_statistic(samples, dist)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 300_000 < 12
+
+
 def test_ks_critical_value_matches_asymptotic_constant():
     assert ks_critical_value(10_000, alpha=0.001) == pytest.approx(1.9495 / 100.0, abs=1e-4)
     with pytest.raises(ValueError):
@@ -296,6 +333,10 @@ def test_reports_are_deterministic_and_serializable():
     assert isinstance(a, CoherenceReport)
 
 
+def _block_rows(n, block_rows):
+    return [min(block_rows, n - start) for start in range(0, n, block_rows)]
+
+
 def test_mc_check_pools_retained_samples_across_generator_streams():
     group = MixturePriorGroup(components=(NormalVar(0, 1),) * 2)
     claimed = coherent_product(group.components)
@@ -303,9 +344,12 @@ def test_mc_check_pools_retained_samples_across_generator_streams():
     pooled = mc_conditional_check(group, claimed, epsilon=0.05, n_draws=400_000,
                                   rng=streams)
     assert pooled.passed
+    # each stream's 100,000 draws come in blocks, each drawn from its own child
+    rows = _block_rows(100_000, verify._BLOCK_ROWS)
     per_stream = sum(
-        _count_retained(group, 0.05, 100_000, np.random.default_rng([9, worker]))
+        _count_retained(group, 0.05, m, child)
         for worker in range(4)
+        for m, child in zip(rows, np.random.default_rng([9, worker]).spawn(len(rows)))
     )
     assert pooled.n_retained == per_stream
 
@@ -359,29 +403,60 @@ def test_mc_check_keeps_every_draw_within_the_cli_budget(group):
     assert (peaks[1] - peaks[0]) / 400_000 < (2 << 30) / MAX_MC_DRAWS
 
 
+def _band_report(retained, claimed, epsilon):
+    ks = ks_statistic(retained, claimed)
+    critical = ks_critical_value(retained.size)
+    return CoherenceReport(method="mc_band", passed=ks < critical, ks_statistic=ks,
+                           ks_critical=critical, ks_alpha=verify.DEFAULT_KS_ALPHA,
+                           n_retained=int(retained.size), epsilon=epsilon)
+
+
 @pytest.mark.parametrize("block_rows", [1000, 7919])
 @pytest.mark.parametrize("ordered", [False, True], ids=["plain", "ordered"])
-def test_identical_group_report_does_not_depend_on_the_block_size(block_rows, ordered,
-                                                                  monkeypatch):
-    # one-shot reference: every draw at once, contrasts reduced along the rows
+def test_identical_group_report_equals_one_shot_draws_of_each_block(block_rows, ordered,
+                                                                    monkeypatch):
+    # reference: each block's spawned child draws its rows as one (m, K) array,
+    # and the contrasts are reduced along the rows
     group = MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3, ordered=ordered)
     claimed = coherent_product(group.components)
     n, epsilon = 150_000, 0.1
-    draws = group.components[0].sample(np.random.default_rng(SEED), size=(n, group.k))
-    if ordered:
-        draws.sort(axis=1)
-    tau = draws[:, 1:] - draws[:, :1]
-    retained = draws[np.max(np.abs(tau), axis=1) < epsilon, 0]
-    ks = ks_statistic(retained, claimed)
-    critical = ks_critical_value(retained.size)
-    reference = CoherenceReport(method="mc_band", passed=ks < critical, ks_statistic=ks,
-                                ks_critical=critical, ks_alpha=verify.DEFAULT_KS_ALPHA,
-                                n_retained=int(retained.size), epsilon=epsilon)
+    rows = _block_rows(n, block_rows)
+    kept = []
+    for m, child in zip(rows, np.random.default_rng(SEED).spawn(len(rows))):
+        draws = group.components[0].sample(child, size=(m, group.k))
+        if ordered:
+            draws.sort(axis=1)
+        tau = draws[:, 1:] - draws[:, :1]
+        kept.append(draws[np.max(np.abs(tau), axis=1) < epsilon, 0])
+    reference = _band_report(np.concatenate(kept), claimed, epsilon)
 
     monkeypatch.setattr(verify, "_BLOCK_ROWS", block_rows)
     report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
                                   rng=np.random.default_rng(SEED))
     assert report == reference
+
+
+@pytest.mark.parametrize("group", [
+    MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3),
+    MixturePriorGroup(components=_K3_COMPONENTS),
+    MixturePriorGroup(components=(InvGamma(1.5, 2.0), InvGamma(2.5, 4.0)), ordered=True),
+], ids=["identical", "heterogeneous", "heterogeneous-ordered"])
+def test_mc_report_is_a_sequential_pass_over_spawned_blocks_for_any_worker_count(
+        group, monkeypatch):
+    # 200,000 draws make seven blocks, the last one short
+    claimed = coherent_product(group.components)
+    n, epsilon = 200_000, 0.1
+    rows = _block_rows(n, verify._BLOCK_ROWS)
+    children = np.random.default_rng(SEED).spawn(len(rows))
+    reference = _band_report(
+        np.concatenate([verify._retained_block(group, epsilon, m, child)
+                        for m, child in zip(rows, children)]),
+        claimed, epsilon)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(verify, "_WORKERS", workers)
+        report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
+                                      rng=np.random.default_rng(SEED))
+        assert report == reference, workers
 
 
 def test_mc_check_rejects_dirichlet_and_degenerate_groups():
