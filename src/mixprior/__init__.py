@@ -40,8 +40,8 @@ _SUBMODULE_NAMES = {
     "reports": ("CoherenceReport", "StationarityResult", "emit_report", "from_machine",
                 "to_human", "to_machine"),
     "special": ("reg_lower_incomplete_gamma",),
-    "verify": ("from_contrasts", "ks_critical_value", "ks_statistic", "mc_conditional_check",
-               "to_contrasts", "verify_product_coherence"),
+    "verify": ("ks_critical_value", "ks_statistic", "mc_conditional_check",
+               "verify_product_coherence"),
 }
 _HOME = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 

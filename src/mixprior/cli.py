@@ -38,10 +38,12 @@ MAX_STATIONARITY_K = 256
 
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
 # per point.  The Monte Carlo check runs blocks of at most verify's _BLOCK_ROWS
-# draws, one in flight per worker (verify._WORKERS).  Measured by tracemalloc,
-# a block holds about 8 bytes per draw and component for a plain group, and
-# 54-96 for a heterogeneous ordered pair or triple (proposals, kept copies and
-# stacked rows); 64 are budgeted, which binds only for wide groups.  The first
+# draws, one in flight per worker (verify._WORKERS).  Measured by tracemalloc
+# at its peak, with every row kept, a block holds 3-24 bytes per draw and
+# component for a plain group (the most for a pair), 5-16 for an identical
+# ordered one, and 28-53 for a heterogeneous ordered pair or triple (the
+# proposals of one batch, their kept copies and the rows; the most at low
+# acceptance); 64 are budgeted, which binds only for wide groups.  The first
 # coordinates kept in the band peak at 16 bytes per draw when every draw is
 # kept (any K: the blocks' results while they are joined, then the sample and
 # the KS test's sorted copy); 128 are budgeted

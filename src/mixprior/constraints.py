@@ -67,7 +67,8 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
     valid because the constrained density is the symmetric product restricted
     to the nondecreasing cone).  Heterogeneous components fall back to
     rejection sampling with an attempt cap, in batches sized from the
-    acceptance seen so far.
+    acceptance seen so far; a proposal's column j is drawn only while its
+    columns before j are still in order.
     """
     if not group.ordered:
         raise ValueError("group does not carry an ordering constraint")
@@ -84,16 +85,16 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
 
     if max_attempts is None:
         max_attempts = max(DEFAULT_REJECTION_CAP, 20 * n)
-    rows: list[np.ndarray] = []
+    draws = np.empty((n, k))
     accepted = 0
     attempts = 0
     while accepted < n:
         need = n - accepted
-        # a quarter more than expected at the rate (accepted + 1) / (attempts + 2),
-        # as sample_constrained_priors sizes its blocks, and never more than
-        # four proposals per row still needed (1024 when few rows remain)
-        batch = min(math.ceil(1.25 * need * (attempts + 2) / (accepted + 1)),
-                    max(4 * need, 1024), max_attempts - attempts)
+        # a quarter more than expected: at first as if every proposal were
+        # accepted, then at the rate (accepted + 1) / (attempts + 2); never
+        # more than four proposals per row still needed (1024 when few remain)
+        expected = need * (attempts + 2) / (accepted + 1) if attempts else need
+        batch = min(math.ceil(1.25 * expected), max(4 * need, 1024), max_attempts - attempts)
         if batch <= 0:
             rate = accepted / attempts if attempts else 0.0
             raise RejectionCapError(
@@ -101,14 +102,17 @@ def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int
                 f"(empirical acceptance rate {rate:.3g})",
                 attempts=attempts, accepted=accepted,
             )
-        columns = [np.asarray(c.sample(rng, size=batch), dtype=float) for c in group.components]
-        keep = columns[1] >= columns[0]
-        for low, high in zip(columns[1:], columns[2:]):
-            keep &= high >= low
-        rows.append(np.column_stack([column[keep] for column in columns]))
-        accepted += int(keep.sum())
+        # column j is drawn only for the proposals still in the cone x_1 <= ... <= x_{j-1}
+        columns = [np.asarray(group.components[0].sample(rng, size=batch), dtype=float)]
+        for component in group.components[1:]:
+            column = np.asarray(component.sample(rng, size=columns[-1].size), dtype=float)
+            keep = column >= columns[-1]
+            columns = [previous[keep] for previous in columns] + [column[keep]]
+        take = min(columns[0].size, need)
+        for j, column in enumerate(columns):
+            draws[accepted:accepted + take, j] = column[:take]
+        accepted += take
         attempts += batch
-    draws = np.concatenate(rows, axis=0)[:n]
     return draws[0] if size is None else draws
 
 
@@ -283,9 +287,9 @@ def _block_cap(model: "ModelSpec") -> int:
     """Most candidates per block: the budget over a candidate's bytes, drawn and checked."""
     values = len(model.delta_priors) + sum(row.dim for row in model.eta_prior or ())
     for group in model.groups.values():
-        # a heterogeneous ordered group's first batch proposes 2.5 rows per
-        # candidate and, at high acceptance, holds as many kept copies and
-        # stacked rows again: about 7.5 values per component
+        # a heterogeneous ordered group's batch proposes at most four rows per
+        # row still needed and holds their kept copies and the rows besides:
+        # within 8 values per component
         values += group.k * (8 if group.ordered and not group.identical else 1)
     if model.regularity == "ar2_stationarity":
         values += 12  # temporaries of the closed-form companion radius

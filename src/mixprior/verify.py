@@ -15,8 +15,10 @@ Two routes certify a claimed nested prior against its K component priors:
   significance ``alpha``.  Draws come in blocks of 32,768 rows, each from
   its own child generator spawned from the caller's stream, and the blocks
   run on a thread pool with one worker per CPU (numpy's generators and
-  ufuncs release the GIL).  The band is tested one contrast column at a
-  time, so memory is one block per worker plus the retained first
+  ufuncs release the GIL).  A block draws one component column at a time,
+  and each column only for the rows still inside the band; an identical
+  ordered group tracks each row's running minimum and maximum in place of
+  sorting it.  Memory is one block per worker plus the retained first
   coordinates, whatever ``n_draws``.
 
 Everything in here is a pure function of its inputs (plus the supplied
@@ -41,8 +43,6 @@ __all__ = [
     "CoherenceReport",
     "GridCoverageError",
     "InsufficientRetentionError",
-    "to_contrasts",
-    "from_contrasts",
     "ks_statistic",
     "ks_critical_value",
     "verify_product_coherence",
@@ -56,18 +56,6 @@ _MIN_KS_SAMPLES = 200
 _COVERAGE_FRACTION = 0.999
 # e^u stays inside the double range for |u| <= 700
 _LOG_X_LIMIT = 700.0
-
-
-def to_contrasts(values):
-    """Split a component vector into (first coordinate, contrasts against it)."""
-    values = np.asarray(values, dtype=float)
-    return float(values[0]), values[1:] - values[0]
-
-
-def from_contrasts(first, tau):
-    """Rebuild the component vector; inverse of :func:`to_contrasts` (unit Jacobian)."""
-    tau = np.asarray(tau, dtype=float)
-    return np.concatenate(([float(first)], tau + float(first)))
 
 
 # sorted samples per CDF call of the KS statistic: its temporaries stay a few
@@ -181,8 +169,8 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
 
 
 # working-set budget of one float64 column of a band-check block; a block
-# holds its K columns (a heterogeneous ordered group up to about 8K columns of
-# proposals, kept copies and stacked rows) and the band mask, whatever the
+# holds at most its K columns (a heterogeneous ordered group up to about 7K
+# columns of proposals, kept copies and rows) and a band mask, whatever the
 # number of draws, and one block is in flight per worker
 _BLOCK_BYTES = 1 << 18
 _BLOCK_ROWS = _BLOCK_BYTES // 8
@@ -196,18 +184,28 @@ except AttributeError:  # no affinity call on this platform
 
 def _retained_block(group, epsilon, m, rng):
     # the first coordinates of m draws that fall inside the band
-    # max_i |x_i - x_1| < epsilon, built one column at a time
-    if group.ordered:
-        columns = sample_ordered(group, rng, size=m).T
-    elif group.identical:
-        columns = group.components[0].sample(rng, size=(m, group.k)).T
-    else:
-        columns = [c.sample(rng, size=m) for c in group.components]
-    first = columns[0]
-    inside = np.abs(columns[1] - first) < epsilon
-    for column in columns[2:]:
-        inside &= np.abs(column - first) < epsilon
-    return first[inside]
+    # max_i |x_i - x_1| < epsilon.  A row that leaves the band never comes
+    # back, so column j is drawn only for the rows still inside after the
+    # columns before it, which leaves the law of the kept rows unchanged
+    if group.ordered and not group.identical:
+        # rows in the cone x_1 <= ... <= x_K, where the band is x_K - x_1 < epsilon
+        draws = sample_ordered(group, rng, size=m)
+        first = draws[:, 0]
+        return first[draws[:, -1] - first < epsilon]
+    first = group.components[0].sample(rng, size=m)
+    if not group.ordered:
+        for component in group.components[1:]:
+            first = first[np.abs(component.sample(rng, size=first.size) - first) < epsilon]
+        return first
+    # identical and ordered: sorting the row would put its minimum first, and
+    # the band of the sorted row is max - min < epsilon
+    low = high = first
+    for component in group.components[1:]:
+        column = component.sample(rng, size=low.size)
+        low, high = np.minimum(low, column), np.maximum(high, column)
+        inside = high - low < epsilon
+        low, high = low[inside], high[inside]
+    return low
 
 
 def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: float,
@@ -228,6 +226,14 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     block order, so a seeded report does not depend on the number of CPUs;
     it does depend on the block size, for identical groups too.  Only the
     retained first coordinates outlive a block.
+
+    A block draws component j only for the rows whose first j - 1
+    components lie in the band, which leaves the law of the retained rows
+    unchanged.  An identical ordered group keeps each row's minimum (the
+    first coordinate of the sorted row) and maximum, and tests ``max - min <
+    epsilon``; a heterogeneous ordered group takes ``sample_ordered`` rows,
+    where the band is ``x_K - x_1 < epsilon``.  A plain heterogeneous pair
+    draws both of its columns in full.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)

@@ -86,13 +86,15 @@ def test_sample_ordered_heterogeneous_outputs_are_ordered():
 
 
 class _CountingRng:
-    """Forwards ``normal`` to a generator and records every requested size."""
+    """Forwards ``normal`` to a generator and records every requested mean and size."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
+        self.locs = []
         self.sizes = []
 
     def normal(self, loc, scale, size):
+        self.locs.append(loc)
         self.sizes.append(size)
         return self.rng.normal(loc, scale, size)
 
@@ -108,22 +110,23 @@ def test_sample_ordered_one_row_draws_a_few_variates():
 
 
 def test_sample_ordered_sized_streams_are_pinned():
-    # values of the rate-sized batch rule (2.5 rows per row in the first batch,
-    # then 1.25 times the rows still needed over the acceptance seen so far);
-    # the constrained-prior sampler and the Monte Carlo band check draw these streams
+    # values of the rate-sized batch rule (1.25 proposals per row in the first
+    # batch, then 1.25 times the rows still needed over the acceptance seen so
+    # far), each proposal's third column drawn only when its first two are in
+    # order; the constrained-prior sampler and the Monte Carlo band check draw these streams
     group = MixturePriorGroup(
         components=(NormalVar(0.5, 1.0), NormalVar(0.0, 2.0), NormalVar(-0.2, 0.5)), ordered=True)
     pinned = {
-        (3, 4): [[-2.0556650313141818, -0.4986952518682819, 0.8930604063921406],
-                 [-1.519986129147251, 0.681573704749467, 1.168313871104244],
-                 [-0.4596447598081417, 0.2740967155475319, 0.28799190484693193],
-                 [-1.534167273443428, -0.8615617247052655, -0.46322089810535244]],
-        (11, 6): [[-0.23879003147580646, -0.2326399189055047, 0.03880097368928362],
-                  [-1.2677185771429749, -0.27922654698689564, -0.07661020103386723],
-                  [-1.0996692880514796, -0.7146042821716435, -0.06415745530375208],
-                  [-0.9476446987755465, -0.31290064135821277, -0.28288857355051344],
-                  [-0.6298291140131056, -0.6103751800924619, 0.10646003829192074],
-                  [-0.22377656012471792, 0.4156678457820975, 0.8295273744076346]],
+        (3, 4): [[-0.16804634610895008, 0.2740967155475319, 0.604603554365849],
+                 [-2.3281623068437627, -0.8615617247052655, -0.42715375374221287],
+                 [-1.779026489055327, 0.16393079601441848, 0.9382033985851819],
+                 [-0.8020708582457947, -0.6478770749171493, -0.4000929949655532]],
+        (11, 6): [[-0.17056582368787943, -0.023503099422898625, 0.23736021745191388],
+                  [-1.4203405901180286, -0.28813289280904086, 0.3791739886198718],
+                  [-1.2340148462328515, -1.1742857762162044, -1.1394962309430738],
+                  [-0.23879003147580646, 0.2714708618264756, 0.4277545004696111],
+                  [-1.2677185771429749, -0.8345972839500375, -0.33961327349344783],
+                  [-0.8092168175162993, 0.7914111969380904, 1.065414648526888]],
     }
     for (seed, n), rows in pinned.items():
         draws = sample_ordered(group, np.random.default_rng(seed), size=n)
@@ -133,8 +136,8 @@ def test_sample_ordered_sized_streams_are_pinned():
 @pytest.mark.parametrize("shift", [-1.0, 0.2, 1.0])
 def test_sample_ordered_sized_calls_follow_the_acceptance(shift):
     # x_2 - x_1 ~ N(shift, 2), so a pair is ordered with probability Phi(shift / sqrt 2);
-    # past the first batch of 2.5 rows per row, a batch holds 1.25 times the
-    # rows still needed over the acceptance seen so far
+    # the first batch holds 1.25 proposals per row, and each later one 1.25
+    # times the rows still needed over the acceptance seen so far
     group = MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(shift, 1.0)),
                               ordered=True)
     acceptance = NormalDist().cdf(shift / math.sqrt(2.0))
@@ -144,7 +147,18 @@ def test_sample_ordered_sized_calls_follow_the_acceptance(shift):
             draws = sample_ordered(group, rng, size=n)
             assert draws.shape == (n, 2) and np.all(draws[:, 0] <= draws[:, 1])
             proposals = sum(rng.sizes) / 2
-            assert proposals <= max(1.6 / acceptance, 2.5) * n, (n, seed, rng.sizes)
+            assert proposals <= 1.25 / acceptance * n, (n, seed, rng.sizes)
+
+
+def test_sample_ordered_draws_a_column_only_for_proposals_still_in_order():
+    # the third component is drawn only for proposals whose first two are in order
+    group = MixturePriorGroup(
+        components=(NormalVar(0.0, 1.0), NormalVar(0.5, 1.0), NormalVar(1.0, 1.0)), ordered=True)
+    rng = _CountingRng(SEED)
+    sample_ordered(group, rng, size=10_000)
+    drawn = {loc: sum(size for at, size in zip(rng.locs, rng.sizes) if at == loc)
+             for loc in (0.0, 0.5, 1.0)}
+    assert drawn[1.0] < 0.8 * drawn[0.0] and drawn[0.5] == drawn[0.0], drawn
 
 
 def test_sample_ordered_cap_exhaustion():

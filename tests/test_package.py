@@ -30,8 +30,8 @@ PUBLIC_NAMES = {
     "reports": ["emit_report", "from_machine", "to_human", "to_machine"],
     "special": ["reg_lower_incomplete_gamma"],
     "verify": ["CoherenceReport", "GridCoverageError", "InsufficientRetentionError",
-               "from_contrasts", "ks_critical_value", "ks_statistic", "mc_conditional_check",
-               "to_contrasts", "verify_product_coherence"],
+               "ks_critical_value", "ks_statistic", "mc_conditional_check",
+               "verify_product_coherence"],
 }
 ALL_NAMES = [name for names in PUBLIC_NAMES.values() for name in names]
 

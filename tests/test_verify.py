@@ -6,8 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mixprior import (
     CoherenceReport,
@@ -19,11 +17,9 @@ from mixprior import (
     NormalPrec,
     NormalVar,
     coherent_product,
-    from_contrasts,
     ks_critical_value,
     ks_statistic,
     mc_conditional_check,
-    to_contrasts,
     verify_product_coherence,
 )
 from mixprior import verify
@@ -35,21 +31,6 @@ SEED = 511
 
 # ---------------------------------------------------------------------------
 # contrasts
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=10))
-def test_contrast_round_trip(values):
-    first, tau = to_contrasts(values)
-    assert first == values[0]
-    assert len(tau) == len(values) - 1
-    back = from_contrasts(first, tau)
-    assert np.allclose(back, values, rtol=0, atol=1e-9 * (1 + max(abs(v) for v in values)))
-
-
-def test_contrasts_vanish_on_the_diagonal():
-    _, tau = to_contrasts([3.3] * 6)
-    assert np.all(tau == 0.0)
 
 
 def test_transformed_density_matches_product_form():
@@ -337,6 +318,23 @@ def _block_rows(n, block_rows):
     return [min(block_rows, n - start) for start in range(0, n, block_rows)]
 
 
+def _column_by_column_retained(group, epsilon, m, rng):
+    # reference: column j of an identical group is drawn, in row order, for the
+    # rows whose first j - 1 columns (sorted, if ordered) lie in the band
+    rows = np.full((m, group.k), np.nan)
+    inside = np.ones(m, dtype=bool)
+    for j in range(group.k):
+        rows[inside, j] = group.components[0].sample(rng, size=int(inside.sum()))
+        head = rows[inside, :j + 1]
+        if group.ordered:
+            head = np.sort(head, axis=1)
+        inside[inside] = np.max(np.abs(head - head[:, :1]), axis=1) < epsilon
+    kept = rows[inside]
+    if group.ordered:
+        kept.sort(axis=1)
+    return kept[:, 0]
+
+
 def test_mc_check_pools_retained_samples_across_generator_streams():
     group = MixturePriorGroup(components=(NormalVar(0, 1),) * 2)
     claimed = coherent_product(group.components)
@@ -347,17 +345,11 @@ def test_mc_check_pools_retained_samples_across_generator_streams():
     # each stream's 100,000 draws come in blocks, each drawn from its own child
     rows = _block_rows(100_000, verify._BLOCK_ROWS)
     per_stream = sum(
-        _count_retained(group, 0.05, m, child)
+        _column_by_column_retained(group, 0.05, m, child).size
         for worker in range(4)
         for m, child in zip(rows, np.random.default_rng([9, worker]).spawn(len(rows)))
     )
     assert pooled.n_retained == per_stream
-
-
-def _count_retained(group, epsilon, n, rng):
-    draws = group.components[0].sample(rng, size=(n, group.k))
-    tau = draws[:, 1:] - draws[:, :1]
-    return int((np.max(np.abs(tau), axis=1) < epsilon).sum())
 
 
 _K3_COMPONENTS = (NormalPrec(0.5, 4.0), NormalPrec(0.0, 2.0), NormalPrec(1.0, 1.0))
@@ -415,25 +407,110 @@ def _band_report(retained, claimed, epsilon):
 @pytest.mark.parametrize("ordered", [False, True], ids=["plain", "ordered"])
 def test_identical_group_report_equals_one_shot_draws_of_each_block(block_rows, ordered,
                                                                     monkeypatch):
-    # reference: each block's spawned child draws its rows as one (m, K) array,
-    # and the contrasts are reduced along the rows
+    # reference: each block's spawned child draws its rows column by column,
+    # and an ordered row is sorted before its contrasts are reduced
     group = MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3, ordered=ordered)
     claimed = coherent_product(group.components)
     n, epsilon = 150_000, 0.1
     rows = _block_rows(n, block_rows)
-    kept = []
-    for m, child in zip(rows, np.random.default_rng(SEED).spawn(len(rows))):
-        draws = group.components[0].sample(child, size=(m, group.k))
-        if ordered:
-            draws.sort(axis=1)
-        tau = draws[:, 1:] - draws[:, :1]
-        kept.append(draws[np.max(np.abs(tau), axis=1) < epsilon, 0])
+    kept = [_column_by_column_retained(group, epsilon, m, child)
+            for m, child in zip(rows, np.random.default_rng(SEED).spawn(len(rows)))]
     reference = _band_report(np.concatenate(kept), claimed, epsilon)
 
     monkeypatch.setattr(verify, "_BLOCK_ROWS", block_rows)
     report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
                                   rng=np.random.default_rng(SEED))
     assert report == reference
+
+
+class _CountingRng:
+    """Forwards ``normal`` to a generator and counts the variates it draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.variates = 0
+
+    def normal(self, loc, scale, size):
+        self.variates += int(np.prod(size))
+        return self.rng.normal(loc, scale, size)
+
+
+@pytest.mark.parametrize("group", [
+    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3),
+    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3, ordered=True),
+    MixturePriorGroup(components=_K3_COMPONENTS),
+], ids=["identical", "identical-ordered", "heterogeneous"])
+def test_band_block_draws_a_column_only_for_rows_still_in_the_band(group):
+    # three full columns are 3m variates; the third is drawn only for the few
+    # rows whose first two columns lie in the band
+    m = 10_000
+    rng = _CountingRng(SEED)
+    retained = verify._retained_block(group, 0.05, m, rng)
+    assert 0 < retained.size < m
+    assert rng.variates < 2.5 * m, rng.variates
+
+
+def test_heterogeneous_pair_block_draws_both_columns_in_full():
+    # a plain heterogeneous pair draws the variates it drew before the band
+    # check went column by column, so its seeded reports did not change
+    group = MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(1.0, 2.0)))
+    rng = np.random.default_rng(SEED)
+    first, second = (c.sample(rng, size=5000) for c in group.components)
+    expected = first[np.abs(second - first) < 0.05]
+    retained = verify._retained_block(group, 0.05, 5000, np.random.default_rng(SEED))
+    assert retained.tolist() == expected.tolist()
+
+
+def _one_shot_retained(group, epsilon, m, rng):
+    # reference: all K columns of m rows at once (ordered rows by sorting an
+    # identical group, or by rejection from 8m proposals), then the band
+    if group.identical:
+        draws = group.components[0].sample(rng, size=(m, group.k))
+        if group.ordered:
+            draws.sort(axis=1)
+    elif group.ordered:
+        draws = np.stack([c.sample(rng, size=8 * m) for c in group.components], axis=1)
+        draws = draws[np.all(np.diff(draws, axis=1) >= 0.0, axis=1)]
+        assert len(draws) >= m
+        draws = draws[:m]
+    else:
+        draws = np.stack([c.sample(rng, size=m) for c in group.components], axis=1)
+    return draws[np.max(np.abs(draws - draws[:, :1]), axis=1) < epsilon, 0]
+
+
+def _two_sample_ks(a, b):
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, both, side="right") / a.size
+                               - np.searchsorted(b, both, side="right") / b.size)))
+
+
+_SHIFTED = (NormalVar(0.0, 1.0), NormalVar(0.5, 1.0), NormalVar(1.0, 1.0))
+
+
+@pytest.mark.parametrize("group", [
+    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3),
+    MixturePriorGroup(components=_SHIFTED),
+    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3, ordered=True),
+    MixturePriorGroup(components=_SHIFTED, ordered=True),
+], ids=["identical", "heterogeneous", "identical-ordered", "heterogeneous-ordered"])
+def test_band_block_keeps_the_law_of_one_shot_draws(group):
+    # 30 blocks each way, on disjoint seeds: the retention counts agree within
+    # 4 binomial standard errors, and the retained first coordinates pass a
+    # two-sample KS test at alpha = 0.001
+    m, epsilon, blocks = 20_000, 0.2, 30
+    lazy = [verify._retained_block(group, epsilon, m, np.random.default_rng([SEED, i]))
+            for i in range(blocks)]
+    full = [_one_shot_retained(group, epsilon, m, np.random.default_rng([SEED + 1, i]))
+            for i in range(blocks)]
+    lazy, full = np.concatenate(lazy), np.concatenate(full)
+    rows = blocks * m
+    p = (lazy.size + full.size) / (2 * rows)
+    assert abs(lazy.size - full.size) < 4.0 * math.sqrt(2.0 * rows * p * (1.0 - p)), \
+        (lazy.size, full.size)
+    critical = math.sqrt(-0.5 * math.log(0.001 / 2.0)) * math.sqrt(
+        (lazy.size + full.size) / (lazy.size * full.size))
+    assert _two_sample_ks(lazy, full) < critical
 
 
 @pytest.mark.parametrize("group", [
