@@ -508,8 +508,8 @@ def test_band_block_keeps_the_law_of_one_shot_draws(group):
     p = (lazy.size + full.size) / (2 * rows)
     assert abs(lazy.size - full.size) < 4.0 * math.sqrt(2.0 * rows * p * (1.0 - p)), \
         (lazy.size, full.size)
-    critical = math.sqrt(-0.5 * math.log(0.001 / 2.0)) * math.sqrt(
-        (lazy.size + full.size) / (lazy.size * full.size))
+    # the two-sample critical value is the one-sample one at n m / (n + m)
+    critical = ks_critical_value(lazy.size * full.size // (lazy.size + full.size), alpha=0.001)
     assert _two_sample_ks(lazy, full) < critical
 
 
