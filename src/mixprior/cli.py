@@ -37,16 +37,19 @@ EXIT_INPUT = 2
 MAX_STATIONARITY_K = 256
 
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
-# per point.  The Monte Carlo check runs blocks of at most verify's _BLOCK_ROWS
-# draws, one in flight per worker (verify._WORKERS).  Measured by tracemalloc
-# at its peak, with every row kept, a block holds 3-24 bytes per draw and
-# component for a plain group (the most for a pair), 5-16 for an identical
-# ordered one, and 28-53 for a heterogeneous ordered pair or triple (the
+# per point.  The Monte Carlo check runs one task in flight per worker
+# (verify._WORKERS).  A thinned chunk of verify's _CHUNK (8,192) candidates
+# holds, measured by tracemalloc at its peak, 140-220 bytes per candidate
+# whatever K, at most 1.8 MiB.  A drawn block of at most _BLOCK_ROWS (32,768)
+# rows holds 11-16 bytes per row and component for a very wide identical
+# ordered group and 28-53 for a heterogeneous ordered pair or triple (the
 # proposals of one batch, their kept copies and the rows; the most at low
-# acceptance); 64 are budgeted, which binds only for wide groups.  The first
-# coordinates kept in the band peak at 16 bytes per draw when every draw is
-# kept (any K: the blocks' results while they are joined, then the sample and
-# the KS test's sorted copy); 128 are budgeted
+# acceptance).  64 bytes per row and component
+# of a block are budgeted, 4 MiB at K = 2, so a chunk fits the block budget
+# too; it binds only for wide groups.  The first coordinates kept in the band
+# peak at 16 bytes per draw when every draw is kept (any K: the tasks'
+# results while they are joined, then the sample and the KS test's sorted
+# copy); 128 are budgeted
 MAX_ARRAY_BYTES = 2 << 30
 MAX_GRID_N = MAX_ARRAY_BYTES // 64
 MAX_MC_DRAWS = MAX_ARRAY_BYTES // 128

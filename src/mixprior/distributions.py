@@ -20,7 +20,8 @@ array methods (``log_pdf``, ``cdf``, the Dirichlet ``mean``) load numpy, and
 
 Each family class is also the one row of the family table :data:`FAMILIES`:
 its literal name and field names in model documents, ``params()`` in that
-order, its closed-form coherence maps and its CLI ``reverse`` name and flags.
+order, its closed-form coherence maps and its CLI ``reverse`` name and flags,
+and for the oracles its grid bounds and its mode.
 The document parser and formatter, ``coherent_product``, the equal-component
 expansion, the plan checks and the CLI all read these attributes, so a new
 family is one class here plus its tests.
@@ -29,6 +30,7 @@ family is one class here plus its tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_DOUBLE_MAX = sys.float_info.max
 # the grid oracle's bounds lie where its coordinate's density is 1e-18 of the mode
 _GRID_DEPTH = math.log(1e18)
 
@@ -106,6 +109,10 @@ class DistSpec:
     def mean(self):
         raise NotImplementedError
 
+    def mode(self) -> float:
+        """The point of highest density; the band check bounds its window masses about it."""
+        raise NotImplementedError(f"no mode for {self.family!r}")
+
     def grid_bounds(self) -> tuple[float, float]:
         """The grid oracle's default bounds, in x, or in log x for a family on (0, inf)."""
         raise NotImplementedError(f"no grid oracle for {self.family!r}")
@@ -160,6 +167,9 @@ class NormalVar(DistSpec):
     def mean(self):
         return self.m
 
+    def mode(self):
+        return self.m
+
     def grid_bounds(self):
         half = math.sqrt(2.0 * _GRID_DEPTH * self.v)
         return self.m - half, self.m + half
@@ -211,6 +221,9 @@ class NormalPrec(DistSpec):
     def mean(self):
         return self.m
 
+    def mode(self):
+        return self.m
+
     def grid_bounds(self):
         half = math.sqrt(2.0 * _GRID_DEPTH / self.vprec)
         if half == math.inf:
@@ -260,7 +273,10 @@ class Gamma(DistSpec):
         pos = x > 0.0
         out = np.zeros(x.shape)
         if np.any(pos):
-            out[pos] = reg_lower_incomplete_gamma(self.a_shape, self.b_rate * x[pos])
+            # past the double range P(a, .) is 1 to the last bit, as it is at its edge
+            with np.errstate(over="ignore"):
+                z = np.minimum(self.b_rate * x[pos], _DOUBLE_MAX)
+            out[pos] = reg_lower_incomplete_gamma(self.a_shape, z)
         return _maybe_scalar(out)
 
     def sample(self, rng, size=None):
@@ -268,6 +284,10 @@ class Gamma(DistSpec):
 
     def mean(self):
         return self.a_shape / self.b_rate
+
+    def mode(self):
+        # at the support's edge for a <= 1, where the density falls from x = 0
+        return max(self.a_shape - 1.0, 0.0) / self.b_rate
 
     def grid_bounds(self):
         return _log_gamma_bounds(self.a_shape, math.log(self.a_shape) - math.log(self.b_rate))
@@ -314,7 +334,9 @@ class InvGamma(DistSpec):
         pos = x > 0.0
         out = np.zeros(x.shape)
         if np.any(pos):
-            out[pos] = 1.0 - reg_lower_incomplete_gamma(self.a_shape, 1.0 / (self.b_scale * x[pos]))
+            with np.errstate(divide="ignore", over="ignore"):
+                z = np.minimum(1.0 / (self.b_scale * x[pos]), _DOUBLE_MAX)
+            out[pos] = 1.0 - reg_lower_incomplete_gamma(self.a_shape, z)
         return _maybe_scalar(out)
 
     def sample(self, rng, size=None):
@@ -329,6 +351,9 @@ class InvGamma(DistSpec):
         if self.a_shape <= 1.0:
             raise ValueError("inverse gamma mean requires a_shape > 1")
         return 1.0 / (self.b_scale * (self.a_shape - 1.0))
+
+    def mode(self):
+        return 1.0 / (self.b_scale * (self.a_shape + 1.0))
 
     def grid_bounds(self):
         # 1/x is gamma with rate 1/b, so the bounds are its gamma bounds mirrored

@@ -12,14 +12,19 @@ Two routes certify a claimed nested prior against its K component priors:
   an epsilon band, then runs a Kolmogorov-Smirnov test of the retained first
   coordinate against the claimed CDF.  The exact conditional equality is out
   of reach for simulation, so this certifies a convergent approximation at
-  significance ``alpha``.  Draws come in blocks of 32,768 rows, each from
-  its own child generator spawned from the caller's stream, and the blocks
-  run on a thread pool with one worker per CPU (numpy's generators and
-  ufuncs release the GIL).  A block draws one component column at a time,
-  and each column only for the rows still inside the band; an identical
-  ordered group tracks each row's running minimum and maximum in place of
-  sorting it.  Memory is one block per worker plus the retained first
-  coordinates, whatever ``n_draws``.
+  significance ``alpha``.  It does not draw the rows the band would reject:
+  given the first coordinate, the band's events are independent and their
+  probabilities are CDF differences, each bounded about its component's
+  mode, so it draws a binomial count of candidates at the bound's rate,
+  draws only their first coordinates and keeps each with its probability
+  over the bound.  This thinning is exact: the kept sample and its count
+  have the laws they would have from ``n_draws`` full rows.  A
+  heterogeneous ordered group (and an identical ordered one whose band is
+  very wide) draws rows.  Candidates come in chunks of 8,192 and rows in
+  blocks of 32,768, each from its own child generator spawned from the
+  caller's stream, on a thread pool with one worker per CPU (numpy's
+  generators and ufuncs release the GIL).  Memory is one chunk per worker
+  plus the retained first coordinates, whatever ``n_draws``.
 
 Everything in here is a pure function of its inputs (plus the supplied
 generator), so identical seeds reproduce reports bit for bit, on any machine
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 
@@ -168,12 +174,19 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     )
 
 
-# working-set budget of one float64 column of a band-check block; a block
-# holds at most its K columns (a heterogeneous ordered group up to about 7K
-# columns of proposals, kept copies and rows) and a band mask, whatever the
-# number of draws, and one block is in flight per worker
+# working-set budget of one float64 column of a direct-path block: a
+# heterogeneous ordered group's block holds up to about 7K columns of
+# proposals, kept copies and rows and a band mask, whatever the number of
+# draws, and one block is in flight per worker
 _BLOCK_BYTES = 1 << 18
 _BLOCK_ROWS = _BLOCK_BYTES // 8
+# candidates per thinned chunk: a factor's one CDF call takes both window
+# edges of every candidate, half a KS chunk of points, so two workers' CDF
+# temporaries together stay within those of one KS chunk
+_CHUNK = _KS_CHUNK // 4
+# grid steps of a window bound: it exceeds the heaviest window by at most the
+# mass of one step, about 1/64 of that window's
+_BOUND_STEPS = 64
 
 # band-check blocks run on one thread per CPU this process may use
 try:
@@ -182,30 +195,94 @@ except AttributeError:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _retained_block(group, epsilon, m, rng):
-    # the first coordinates of m draws that fall inside the band
-    # max_i |x_i - x_1| < epsilon.  A row that leaves the band never comes
-    # back, so column j is drawn only for the rows still inside after the
-    # columns before it, which leaves the law of the kept rows unchanged
-    if group.ordered and not group.identical:
-        # rows in the cone x_1 <= ... <= x_K, where the band is x_K - x_1 < epsilon
-        draws = sample_ordered(group, rng, size=m)
-        first = draws[:, 0]
-        return first[draws[:, -1] - first < epsilon]
-    first = group.components[0].sample(rng, size=m)
+def _window_mass(dist, lo, hi):
+    # F(hi) - F(lo) from one CDF call on both edges; an infinite edge (and
+    # the nan of inf - inf) takes its limit, 0 or 1, without a call
+    edges = np.concatenate([lo, hi])
+    finite = np.isfinite(edges)
+    if finite.all():
+        cdf = dist.cdf(edges)
+    else:
+        cdf = (edges > 0.0).astype(float)
+        cdf[finite] = dist.cdf(edges[finite])
+    return cdf[lo.size:] - cdf[:lo.size]
+
+
+def _window_bound(dist, width):
+    # the most mass any window of this width holds.  Every family is
+    # unimodal, so the heaviest window [t, t + width] has t in [mode - width,
+    # mode], and one with t in [t_i, t_i+1] lies within [t_i, t_i+1 + width]
+    # for a grid t_0 < ... < t_G of that interval.  The slack keeps a window
+    # computed with other rounding below the bound
+    if not math.isfinite(width):
+        return 1.0
+    t = dist.mode() - width + (width / _BOUND_STEPS) * np.arange(_BOUND_STEPS + 1)
+    mass = float(np.max(_window_mass(dist, t[:-1], t[1:] + width)))
+    return min(1.0, mass * (1.0 + 1e-9) + 1e-12)
+
+
+def _thinning(group, epsilon):
+    # (rate, factors) of the exact thinning of the band, or None where rows
+    # must be drawn.  A row is a candidate with probability `rate`; only a
+    # candidate's first coordinate x is drawn, and it is kept when
+    # u * c < F(x + hi) - F(x + lo) for every factor (F, c, lo, hi), with one
+    # uniform u per factor and c bounding the factor's window masses
     if not group.ordered:
-        for component in group.components[1:]:
-            first = first[np.abs(component.sample(rng, size=first.size) - first) < epsilon]
-        return first
-    # identical and ordered: sorting the row would put its minimum first, and
-    # the band of the sorted row is max - min < epsilon
-    low = high = first
-    for component in group.components[1:]:
-        column = component.sample(rng, size=low.size)
-        low, high = np.minimum(low, column), np.maximum(high, column)
-        inside = high - low < epsilon
-        low, high = low[inside], high[inside]
-    return low
+        # given x_1 the events |x_j - x_1| < epsilon are independent
+        factors = [(d, _window_bound(d, 2.0 * epsilon), -epsilon, epsilon)
+                   for d in group.components[1:]]
+        return math.prod(c for _, c, _, _ in factors), factors
+    if not group.identical:
+        # the kept rows' law involves the unknown cone mass P(x_1 <= ... <= x_K)
+        return None
+    # the minimum y of a sorted row whose others lie in [y, y + epsilon) has
+    # density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y); a rate above 1
+    # (a band so wide it keeps more than 1/K of the rows) takes the rows
+    dist, k = group.components[0], group.k
+    c = _window_bound(dist, epsilon)
+    rate = k * c ** (k - 1)
+    return (rate, [(dist, c, 0.0, epsilon)] * (k - 1)) if rate <= 1.0 else None
+
+
+def _thinned_chunk(first, factors, size, rng):
+    # the kept ones of `size` candidates.  A factor's uniforms go to the
+    # candidates the factors before it kept, and a factor equal to the one
+    # before it reuses its window masses
+    x = first.sample(rng, size=size)
+    mass = previous = None
+    for factor in factors:
+        dist, c, lo, hi = factor
+        if factor != previous:
+            mass = _window_mass(dist, x + lo, x + hi)
+        keep = rng.uniform(size=x.size) * c < mass
+        x, mass, previous = x[keep], mass[keep], factor
+    return x
+
+
+def _retained_block(group, epsilon, m, rng):
+    # the first coordinates of m ordered rows x_1 <= ... <= x_K that fall
+    # inside the band, which in the cone is x_K - x_1 < epsilon
+    draws = sample_ordered(group, rng, size=m)
+    first = draws[:, 0]
+    return first[draws[:, -1] - first < epsilon]
+
+
+def _split(stream, total, size):
+    # `total` in pieces of at most `size`, each with a child spawned from `stream`
+    children = stream.spawn(-(-total // size))
+    return [(min(size, total - j * size), child) for j, child in enumerate(children)]
+
+
+def _stream_tasks(group, epsilon, n, stream, thinning):
+    # one stream's share of n rows as tasks; each returns retained first coordinates
+    if thinning is None:
+        return [partial(_retained_block, group, epsilon, m, child)
+                for m, child in _split(stream, n, _BLOCK_ROWS)]
+    rate, factors = thinning
+    (counter,) = stream.spawn(1)
+    candidates = int(counter.binomial(n, rate))
+    return [partial(_thinned_chunk, group.components[0], factors, m, child)
+            for m, child in _split(stream, candidates, _CHUNK)]
 
 
 def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: float,
@@ -219,21 +296,36 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     independent generators; with a sequence the draws are partitioned evenly
     across the streams and the retained samples are pooled before the test.
 
-    Each stream's share comes in blocks of ``_BLOCK_ROWS`` (32,768) rows, and
-    block j of ``n_blocks`` draws from ``stream.spawn(n_blocks)[j]``, so the
-    call advances each stream's spawn counter, not its bit generator.  The
-    blocks run on a thread pool with one worker per CPU and are pooled in
-    block order, so a seeded report does not depend on the number of CPUs;
-    it does depend on the block size, for identical groups too.  Only the
-    retained first coordinates outlive a block.
+    Except for a heterogeneous ordered group, the band is thinned exactly,
+    not drawn row by row.  Given ``x_1``, a plain group's row lies in the band
+    with probability ``q(x_1) = prod_j [F_j(x_1 + eps) - F_j(x_1 - eps)]``.
+    Each factor is at most ``c_j``, the mass of ``F_j``'s heaviest window of
+    width ``2 eps``: every family is unimodal, so that window starts in
+    ``[mode_j - 2 eps, mode_j]``, and 64 steps over that interval bound it to
+    within the mass of one step.  So each stream draws a candidate count
+    ``M ~ Binomial(n, prod_j c_j)``, draws ``x_1`` for the candidates only,
+    and keeps a candidate when ``u_j c_j < F_j(x_1 + eps) - F_j(x_1 - eps)``
+    for every factor, with one uniform per factor, drawn for the candidates
+    the factors before it kept.  The kept coordinates then have the law of
+    the kept rows of ``n`` full rows, and their count the same binomial law.
+    An identical ordered group thins the same way: the minimum ``y`` of a
+    kept sorted row has density ``K f(y) W(y)^(K-1)``, ``W(y) = F(y + eps) -
+    F(y)``, so the rate is ``K c^(K-1)`` with ``c`` the mass of the heaviest
+    window of width ``eps``, and ``K - 1`` uniforms are tested against one
+    ``W``.  When that rate passes 1, and always for a heterogeneous ordered
+    group, whose kept rows involve the unknown mass of the cone, the check
+    draws rows with ``sample_ordered`` and keeps those with ``x_K - x_1 <
+    eps``.  Seeded reports of every group but a heterogeneous ordered one
+    changed when the thinning came in.
 
-    A block draws component j only for the rows whose first j - 1
-    components lie in the band, which leaves the law of the retained rows
-    unchanged.  An identical ordered group keeps each row's minimum (the
-    first coordinate of the sorted row) and maximum, and tests ``max - min <
-    epsilon``; a heterogeneous ordered group takes ``sample_ordered`` rows,
-    where the band is ``x_K - x_1 < epsilon``.  A plain heterogeneous pair
-    draws both of its columns in full.
+    A stream's count comes from ``stream.spawn(1)[0]``; its candidates then
+    come in chunks of ``_CHUNK`` (8,192), and chunk j of ``n_chunks`` draws
+    from ``stream.spawn(n_chunks)[j]``.  Drawn rows come the same way in
+    blocks of ``_BLOCK_ROWS`` (32,768).  So the call advances each stream's
+    spawn counter, not its bit generator.  The chunks run on a thread pool
+    with one worker per CPU and are pooled in order, so a seeded report does
+    not depend on the number of CPUs; it does depend on the chunk size.
+    Only the retained first coordinates outlive a chunk.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)
@@ -250,18 +342,17 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     if not streams:
         raise ValueError("need at least one generator")
     share, remainder = divmod(n_draws, len(streams))
+    thinning = _thinning(group, epsilon)
     tasks = []
     for i, stream in enumerate(streams):
         n = share + (1 if i < remainder else 0)
-        children = stream.spawn(-(-n // _BLOCK_ROWS))
-        tasks.extend((min(_BLOCK_ROWS, n - j * _BLOCK_ROWS), child)
-                     for j, child in enumerate(children))
+        tasks.extend(_stream_tasks(group, epsilon, n, stream, thinning))
     # imported here: `verify --method grid` and the numpy-free commands skip its cost
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(tasks))) as pool:
-        retained = np.concatenate(list(pool.map(
-            lambda task: _retained_block(group, epsilon, *task), tasks)))
+    # no task at all when every stream's candidate count is 0
+    with ThreadPoolExecutor(max_workers=max(1, min(_WORKERS, len(tasks)))) as pool:
+        retained = np.concatenate([np.empty(0), *pool.map(lambda task: task(), tasks)])
     n_retained = int(retained.size)
     if n_retained < _MIN_KS_SAMPLES:
         raise InsufficientRetentionError(

@@ -143,3 +143,46 @@ def test_additive_band_rejects_the_log_contrast_conditional():
     assert true.passed
     assert not log_contrast.passed
     assert log_contrast.ks_statistic > 3.0 * log_contrast.ks_critical
+
+
+# (family, component hyperparameter pairs, ordered, band half-width): the
+# thinned band's retention against a quadrature of scipy's densities and CDFs
+RETENTION_CASES = {
+    "gamma-pair": ("gamma", [(2.0, 1.0), (3.0, 2.0)], False, 0.02),
+    "inv-gamma-triple": ("inv_gamma", [(3.0, 2.0), (4.0, 1.0), (3.5, 4.0)], False, 0.05),
+    "gamma-0.5-pair": ("gamma", [(0.5, 1.0)] * 2, False, 0.05),
+    "gamma-ordered-triple": ("gamma", [(4.0, 2.0)] * 3, True, 0.05),
+}
+
+
+@pytest.mark.parametrize("family, pairs, ordered, epsilon", RETENTION_CASES.values(),
+                         ids=RETENTION_CASES.keys())
+def test_band_retention_matches_a_quadrature_of_the_window_masses(family, pairs, ordered,
+                                                                  epsilon):
+    # a row is kept with probability p = int f_1(x) prod_j [F_j(x + eps) - F_j(x - eps)] dx,
+    # or int K f(y) [F(y + eps) - F(y)]^(K-1) dy for an identical ordered group, so
+    # the retained count is Binomial(n, p)
+    types = {"gamma": Gamma, "inv_gamma": InvGamma}
+    group = MixturePriorGroup(components=tuple(types[family](a, b) for a, b in pairs),
+                              ordered=ordered)
+    first, *others = [_scipy(family, a, b) for a, b in pairs]
+    if ordered:
+        def integrand(x):
+            window = first.cdf(x + epsilon) - first.cdf(x)
+            return group.k * first.pdf(x) * window ** (group.k - 1)
+    else:
+        def integrand(x):
+            return first.pdf(x) * math.prod(d.cdf(x + epsilon) - d.cdf(x - epsilon)
+                                            for d in others)
+    # in u = log x, over the first component's quantiles 1e-13 and 1 - 1e-13
+    lo, hi = math.log(first.ppf(1e-13)), math.log(first.isf(1e-13))
+    modes = {c.mode() for c in group.components}
+    points = sorted(math.log(m) for m in modes if m > 0.0 and lo < math.log(m) < hi)
+    p, _ = integrate.quad(lambda u: integrand(math.exp(u)) * math.exp(u), lo, hi,
+                          points=points or None, epsabs=0.0, epsrel=1e-10, limit=400)
+    n = 1_000_000
+    # only the retained count is read; a shape sum below K - 1 has no coherent product
+    report = mc_conditional_check(group, group.components[0], epsilon=epsilon, n_draws=n,
+                                  rng=np.random.default_rng(SEED + 7))
+    assert abs(report.n_retained - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p)), \
+        (report.n_retained, n * p)

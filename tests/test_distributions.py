@@ -230,3 +230,42 @@ def test_sampler_agrees_with_cdf(dist):
     draws = dist.sample(rng, size=100_000)
     stat = ks_statistic(draws, dist)
     assert stat < ks_critical_value(100_000, alpha=0.001), (dist, stat)
+
+
+# ---------------------------------------------------------------------------
+# modes
+
+
+@pytest.mark.parametrize("dist", [
+    NormalVar(1.0, 4.0), NormalPrec(-2.0, 9.0), Gamma(3.0, 2.0), Gamma(1.5, 0.1),
+    InvGamma(3.0, 2.0), InvGamma(0.1, 1.0),
+], ids=repr)
+def test_mode_is_where_the_density_peaks(dist):
+    mode = dist.mode()
+    # a grid about the mode that stays inside the support
+    half = 0.5 * min(mode, 1.0) if mode > 0.0 else 1.0
+    xs = np.linspace(mode - half, mode + half, 100_001)
+    assert abs(xs[np.argmax(dist.log_pdf(xs))] - mode) <= 2.0 * (xs[1] - xs[0])
+
+
+@pytest.mark.parametrize("dist", [Gamma(0.5, 1.0), Gamma(1.0, 3.0)], ids=repr)
+def test_gamma_mode_of_a_falling_density_is_the_support_edge(dist):
+    # shape <= 1: the density falls from x = 0, unbounded below shape 1
+    assert dist.mode() == 0.0
+    xs = np.geomspace(1e-9, 10.0, 1000)
+    assert np.all(np.diff(dist.log_pdf(xs)) < 0.0)
+
+
+def test_dirichlet_has_no_scalar_mode():
+    with pytest.raises(NotImplementedError):
+        Dirichlet((1.0, 2.0)).mode()
+
+
+@pytest.mark.parametrize("dist", [Gamma(2.0, 2.0), InvGamma(2.0, 1e-300)], ids=repr)
+def test_gamma_cdfs_hold_where_the_incomplete_gamma_argument_overflows(dist):
+    # b x past the double range, or 1 / (b x) for a tiny scale: the CDF is at its limit
+    x = np.array([1e-320, 1e308, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = dist.cdf(x)
+    assert values.tolist() == [0.0, 1.0, 1.0]

@@ -20,6 +20,7 @@ from mixprior import (
     ks_critical_value,
     ks_statistic,
     mc_conditional_check,
+    sample_ordered,
     verify_product_coherence,
 )
 from mixprior import verify
@@ -318,21 +319,26 @@ def _block_rows(n, block_rows):
     return [min(block_rows, n - start) for start in range(0, n, block_rows)]
 
 
-def _column_by_column_retained(group, epsilon, m, rng):
-    # reference: column j of an identical group is drawn, in row order, for the
-    # rows whose first j - 1 columns (sorted, if ordered) lie in the band
-    rows = np.full((m, group.k), np.nan)
-    inside = np.ones(m, dtype=bool)
-    for j in range(group.k):
-        rows[inside, j] = group.components[0].sample(rng, size=int(inside.sum()))
-        head = rows[inside, :j + 1]
-        if group.ordered:
-            head = np.sort(head, axis=1)
-        inside[inside] = np.max(np.abs(head - head[:, :1]), axis=1) < epsilon
-    kept = rows[inside]
-    if group.ordered:
-        kept.sort(axis=1)
-    return kept[:, 0]
+def _thinned_reference(group, epsilon, n, stream):
+    # reference: the candidate count of n rows from the stream's first spawned
+    # child, then chunks of candidates, each from the next spawned child.  A
+    # chunk draws the first coordinates, then for each factor one uniform per
+    # candidate still kept, tested against its window mass, which a factor
+    # equal to the one before it does not compute again
+    rate, factors = verify._thinning(group, epsilon)
+    count = int(stream.spawn(1)[0].binomial(n, rate))
+    sizes = _block_rows(count, verify._CHUNK)
+    kept = [np.empty(0)]
+    for size, child in zip(sizes, stream.spawn(len(sizes))):
+        x = group.components[0].sample(child, size=size)
+        for j, (dist, c, lo, hi) in enumerate(factors):
+            if j == 0 or factors[j] != factors[j - 1]:
+                cdf = dist.cdf(np.concatenate([x + lo, x + hi]))
+                mass = cdf[x.size:] - cdf[:x.size]
+            keep = child.uniform(size=x.size) * c < mass
+            x, mass = x[keep], mass[keep]
+        kept.append(x)
+    return np.concatenate(kept)
 
 
 def test_mc_check_pools_retained_samples_across_generator_streams():
@@ -342,13 +348,11 @@ def test_mc_check_pools_retained_samples_across_generator_streams():
     pooled = mc_conditional_check(group, claimed, epsilon=0.05, n_draws=400_000,
                                   rng=streams)
     assert pooled.passed
-    # each stream's 100,000 draws come in blocks, each drawn from its own child
-    rows = _block_rows(100_000, verify._BLOCK_ROWS)
-    per_stream = sum(
-        _column_by_column_retained(group, 0.05, m, child).size
-        for worker in range(4)
-        for m, child in zip(rows, np.random.default_rng([9, worker]).spawn(len(rows)))
-    )
+    # each stream thins its own 100,000 rows: a count, then chunks of
+    # candidates, all from children spawned from that stream
+    per_stream = sum(_thinned_reference(group, 0.05, 100_000,
+                                        np.random.default_rng([9, worker])).size
+                     for worker in range(4))
     assert pooled.n_retained == per_stream
 
 
@@ -407,32 +411,33 @@ def _band_report(retained, claimed, epsilon):
 @pytest.mark.parametrize("ordered", [False, True], ids=["plain", "ordered"])
 def test_identical_group_report_equals_one_shot_draws_of_each_block(block_rows, ordered,
                                                                     monkeypatch):
-    # reference: each block's spawned child draws its rows column by column,
-    # and an ordered row is sorted before its contrasts are reduced
+    # reference: each chunk's spawned child draws its candidates' first
+    # coordinates, then K - 1 uniforms against one window mass per candidate
     group = MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3, ordered=ordered)
     claimed = coherent_product(group.components)
-    n, epsilon = 150_000, 0.1
-    rows = _block_rows(n, block_rows)
-    kept = [_column_by_column_retained(group, epsilon, m, child)
-            for m, child in zip(rows, np.random.default_rng(SEED).spawn(len(rows)))]
-    reference = _band_report(np.concatenate(kept), claimed, epsilon)
-
-    monkeypatch.setattr(verify, "_BLOCK_ROWS", block_rows)
+    n, epsilon = 1_500_000, 0.1
+    monkeypatch.setattr(verify, "_CHUNK", block_rows)
+    reference = _band_report(_thinned_reference(group, epsilon, n, np.random.default_rng(SEED)),
+                             claimed, epsilon)
     report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
                                   rng=np.random.default_rng(SEED))
     assert report == reference
 
 
 class _CountingRng:
-    """Forwards ``normal`` to a generator and counts the variates it draws."""
+    """Forwards ``normal`` and ``uniform`` to a generator and logs each call's size."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.variates = 0
+        self.calls = []
 
     def normal(self, loc, scale, size):
-        self.variates += int(np.prod(size))
+        self.calls.append(("normal", size))
         return self.rng.normal(loc, scale, size)
+
+    def uniform(self, size):
+        self.calls.append(("uniform", size))
+        return self.rng.uniform(size=size)
 
 
 @pytest.mark.parametrize("group", [
@@ -441,22 +446,26 @@ class _CountingRng:
     MixturePriorGroup(components=_K3_COMPONENTS),
 ], ids=["identical", "identical-ordered", "heterogeneous"])
 def test_band_block_draws_a_column_only_for_rows_still_in_the_band(group):
-    # three full columns are 3m variates; the third is drawn only for the few
-    # rows whose first two columns lie in the band
+    # a chunk of m candidates draws one column of m first coordinates; then
+    # each factor draws its uniforms only for the candidates the factors
+    # before it kept, so no other column of the m rows is ever drawn
     m = 10_000
     rng = _CountingRng(SEED)
-    retained = verify._retained_block(group, 0.05, m, rng)
+    _, factors = verify._thinning(group, 0.05)
+    retained = verify._thinned_chunk(group.components[0], factors, m, rng)
     assert 0 < retained.size < m
-    assert rng.variates < 2.5 * m, rng.variates
+    assert [kind for kind, _ in rng.calls] == ["normal", "uniform", "uniform"]
+    sizes = [size for _, size in rng.calls]
+    assert sizes[0] == sizes[1] == m and retained.size <= sizes[2] < m
 
 
-def test_heterogeneous_pair_block_draws_both_columns_in_full():
-    # a plain heterogeneous pair draws the variates it drew before the band
-    # check went column by column, so its seeded reports did not change
-    group = MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(1.0, 2.0)))
-    rng = np.random.default_rng(SEED)
-    first, second = (c.sample(rng, size=5000) for c in group.components)
-    expected = first[np.abs(second - first) < 0.05]
+def test_heterogeneous_ordered_block_draws_the_rows_of_sample_ordered():
+    # a heterogeneous ordered group still draws rows, as before the band was
+    # thinned, so its seeded reports did not change
+    group = MixturePriorGroup(components=_K3_COMPONENTS, ordered=True)
+    assert verify._thinning(group, 0.05) is None
+    rows = sample_ordered(group, np.random.default_rng(SEED), size=5000)
+    expected = rows[rows[:, -1] - rows[:, 0] < 0.05, 0]
     retained = verify._retained_block(group, 0.05, 5000, np.random.default_rng(SEED))
     assert retained.tolist() == expected.tolist()
 
@@ -488,18 +497,41 @@ def _two_sample_ks(a, b):
 _SHIFTED = (NormalVar(0.0, 1.0), NormalVar(0.5, 1.0), NormalVar(1.0, 1.0))
 
 
-@pytest.mark.parametrize("group", [
-    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3),
-    MixturePriorGroup(components=_SHIFTED),
-    MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3, ordered=True),
-    MixturePriorGroup(components=_SHIFTED, ordered=True),
-], ids=["identical", "heterogeneous", "identical-ordered", "heterogeneous-ordered"])
-def test_band_block_keeps_the_law_of_one_shot_draws(group):
-    # 30 blocks each way, on disjoint seeds: the retention counts agree within
-    # 4 binomial standard errors, and the retained first coordinates pass a
-    # two-sample KS test at alpha = 0.001
-    m, epsilon, blocks = 20_000, 0.2, 30
-    lazy = [verify._retained_block(group, epsilon, m, np.random.default_rng([SEED, i]))
+def _sequential(group, epsilon, n, stream):
+    # one stream's share of the band check, its tasks run in order on this thread
+    tasks = verify._stream_tasks(group, epsilon, n, stream, verify._thinning(group, epsilon))
+    return np.concatenate([np.empty(0)] + [task() for task in tasks])
+
+
+_LAW_CASES = {
+    "identical": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3), 0.2),
+    "heterogeneous": (MixturePriorGroup(components=_SHIFTED), 0.2),
+    "identical-ordered": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3,
+                                            ordered=True), 0.2),
+    "heterogeneous-ordered": (MixturePriorGroup(components=_SHIFTED, ordered=True), 0.2),
+    "identical-k2": (MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 2), 0.1),
+    "heterogeneous-k2": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),
+                                                       NormalVar(1.0, 2.0))), 0.1),
+    "identical-ordered-k2": (MixturePriorGroup(components=(InvGamma(3.0, 2.0),) * 2,
+                                               ordered=True), 0.05),
+    # mode 0, where the density is unbounded
+    "gamma-0.5": (MixturePriorGroup(components=(Gamma(0.5, 1.0),) * 2), 0.1),
+    "gamma-0.5-ordered": (MixturePriorGroup(components=(Gamma(0.5, 1.0),) * 3,
+                                            ordered=True), 0.2),
+    "inv-gamma-0.1": (MixturePriorGroup(components=(InvGamma(0.1, 1.0),) * 2), 0.5),
+    # K c^(K-1) > 1: the band keeps more than 1/K of the rows, which are drawn
+    "wide-identical-ordered": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3,
+                                                 ordered=True), 2.0),
+}
+
+
+@pytest.mark.parametrize("group, epsilon", _LAW_CASES.values(), ids=_LAW_CASES.keys())
+def test_band_block_keeps_the_law_of_one_shot_draws(group, epsilon):
+    # 30 streams of m rows each way, on disjoint seeds: the retention counts
+    # agree within 4 binomial standard errors, and the retained first
+    # coordinates pass a two-sample KS test at alpha = 0.001
+    m, blocks = 20_000, 30
+    lazy = [_sequential(group, epsilon, m, np.random.default_rng([SEED, i]))
             for i in range(blocks)]
     full = [_one_shot_retained(group, epsilon, m, np.random.default_rng([SEED + 1, i]))
             for i in range(blocks)]
@@ -520,15 +552,13 @@ def test_band_block_keeps_the_law_of_one_shot_draws(group):
 ], ids=["identical", "heterogeneous", "heterogeneous-ordered"])
 def test_mc_report_is_a_sequential_pass_over_spawned_blocks_for_any_worker_count(
         group, monkeypatch):
-    # 200,000 draws make seven blocks, the last one short
+    # 200,000 rows make seven blocks, the last one short, or a few thousand
+    # candidates, in chunks of 700 here, the last one short
     claimed = coherent_product(group.components)
     n, epsilon = 200_000, 0.1
-    rows = _block_rows(n, verify._BLOCK_ROWS)
-    children = np.random.default_rng(SEED).spawn(len(rows))
-    reference = _band_report(
-        np.concatenate([verify._retained_block(group, epsilon, m, child)
-                        for m, child in zip(rows, children)]),
-        claimed, epsilon)
+    monkeypatch.setattr(verify, "_CHUNK", 700)
+    reference = _band_report(_sequential(group, epsilon, n, np.random.default_rng(SEED)),
+                             claimed, epsilon)
     for workers in (1, 2, 3):
         monkeypatch.setattr(verify, "_WORKERS", workers)
         report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
@@ -542,3 +572,67 @@ def test_mc_check_rejects_dirichlet_and_degenerate_groups():
     with pytest.raises(NotImplementedError):
         mc_conditional_check(group, NormalVar(0, 1), epsilon=0.05, n_draws=100_000,
                              rng=np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# exact thinning of the band
+
+
+_BOUND_DISTS = [NormalVar(1.0, 4.0), NormalPrec(-2.0, 9.0), Gamma(0.5, 1.0), Gamma(3.0, 2.0),
+                InvGamma(0.1, 1.0), InvGamma(3.0, 2.0)]
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 0.02, 1.0, 10.0])
+@pytest.mark.parametrize("dist", _BOUND_DISTS, ids=repr)
+def test_window_bound_holds_every_computed_window(dist, epsilon):
+    # the two-sided windows (x - eps, x + eps) of a plain band and the
+    # one-sided [y, y + eps) of an ordered one, computed on a dense grid of
+    # starts about the mode: the bound is at least each of them, and within
+    # a few percent of the heaviest
+    mode = dist.mode()
+    for width, lo, hi in ((2.0 * epsilon, -epsilon, epsilon), (epsilon, 0.0, epsilon)):
+        bound = verify._window_bound(dist, width)
+        starts = mode + width * np.linspace(-1.5, 0.5, 40_001)
+        mass = verify._window_mass(dist, starts, starts + width)
+        assert np.max(mass) <= bound <= 1.0
+        # the same windows about their centres x, as the band computes them
+        x = starts - lo
+        assert np.max(verify._window_mass(dist, x + lo, x + hi)) <= bound
+        assert bound <= 1.05 * np.max(mass) + 1e-12, (bound, np.max(mass))
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["plain", "ordered"])
+def test_unbounded_band_keeps_every_row_without_a_cdf_at_infinity(ordered, monkeypatch):
+    # the window edges x -+ inf take their limits without a CDF call
+    cdf = Gamma.cdf
+
+    def finite_cdf(self, x):
+        assert np.all(np.isfinite(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(Gamma, "cdf", finite_cdf)
+    group = MixturePriorGroup(components=(Gamma(2.0, 1.0),) * 3, ordered=ordered)
+    report = mc_conditional_check(group, coherent_product(group.components), epsilon=math.inf,
+                                  n_draws=100_000, rng=np.random.default_rng(SEED))
+    assert report.n_retained == 100_000
+
+
+def test_only_heterogeneous_ordered_groups_and_very_wide_ordered_bands_draw_rows():
+    identical = (NormalVar(0.0, 1.0),) * 3
+    assert verify._thinning(MixturePriorGroup(components=_SHIFTED, ordered=True), 0.2) is None
+    ordered = MixturePriorGroup(components=identical, ordered=True)
+    # 3 c^2 passes 1 between these half-widths
+    assert verify._thinning(ordered, 0.2) is not None
+    assert verify._thinning(ordered, 2.0) is None
+    for group in (MixturePriorGroup(components=identical), MixturePriorGroup(components=_SHIFTED)):
+        rate, factors = verify._thinning(group, 1e3)
+        assert len(factors) == 2 and rate == 1.0
+
+
+def test_band_without_candidates_raises_insufficient_retention():
+    group = MixturePriorGroup(components=(NormalVar(0, 1),) * 2)
+    rate, _ = verify._thinning(group, 1e-13)
+    assert rate * 100_000 < 1e-6
+    with pytest.raises(InsufficientRetentionError, match="only 0 of"):
+        mc_conditional_check(group, NormalVar(0.0, 0.5), epsilon=1e-13, n_draws=100_000,
+                             rng=np.random.default_rng(SEED))
