@@ -44,12 +44,11 @@ MAX_STATIONARITY_K = 256
 # rows holds 11-16 bytes per row and component for a very wide identical
 # ordered group and 28-53 for a heterogeneous ordered pair or triple (the
 # proposals of one batch, their kept copies and the rows; the most at low
-# acceptance).  64 bytes per row and component
-# of a block are budgeted, 4 MiB at K = 2, so a chunk fits the block budget
-# too; it binds only for wide groups.  The first coordinates kept in the band
-# peak at 16 bytes per draw when every draw is kept (any K: the tasks'
-# results while they are joined, then the sample and the KS test's sorted
-# copy); 128 are budgeted
+# acceptance).  64 bytes per row and component of a block are budgeted, 4 MiB
+# at K = 2, so a chunk fits the block budget too; it binds only for wide
+# groups.  The first coordinates kept in the band peak at 16 bytes per draw
+# when every draw is kept (any K: the tasks' results while they are joined,
+# then the sample and the KS test's sorted copy); 128 are budgeted
 MAX_ARRAY_BYTES = 2 << 30
 MAX_GRID_N = MAX_ARRAY_BYTES // 64
 MAX_MC_DRAWS = MAX_ARRAY_BYTES // 128

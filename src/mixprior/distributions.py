@@ -273,7 +273,8 @@ class Gamma(DistSpec):
         pos = x > 0.0
         out = np.zeros(x.shape)
         if np.any(pos):
-            # past the double range P(a, .) is 1 to the last bit, as it is at its edge
+            # b x past the double range is clamped to its edge, where P(a, .) is 1
+            # for any shape well inside the range
             with np.errstate(over="ignore"):
                 z = np.minimum(self.b_rate * x[pos], _DOUBLE_MAX)
             out[pos] = reg_lower_incomplete_gamma(self.a_shape, z)
