@@ -37,18 +37,14 @@ EXIT_INPUT = 2
 MAX_STATIONARITY_K = 256
 
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
-# per point.  The Monte Carlo check runs one task in flight per worker
-# (verify._WORKERS).  A thinned chunk of verify's _CHUNK (8,192) candidates
-# holds, measured by tracemalloc at its peak, 140-220 bytes per candidate
-# whatever K, at most 1.8 MiB.  A drawn block of at most _BLOCK_ROWS (32,768)
-# rows holds 11-16 bytes per row and component for a very wide identical
-# ordered group and 28-53 for a heterogeneous ordered pair or triple (the
-# proposals of one batch, their kept copies and the rows; the most at low
-# acceptance).  64 bytes per row and component of a block are budgeted, 4 MiB
-# at K = 2, so a chunk fits the block budget too; it binds only for wide
-# groups.  The first coordinates kept in the band peak at 16 bytes per draw
-# when every draw is kept (any K: the tasks' results while they are joined,
-# then the sample and the KS test's sorted copy); 128 are budgeted
+# per point.  The Monte Carlo check runs one chunk of candidates in flight per
+# worker (verify._WORKERS), whatever K: measured by tracemalloc at its peak, a
+# chunk of 8,192 holds 80-120 bytes per candidate, and one of the kept-count
+# route's 32,768 at most 230 (7.1 MiB, a K = 3 heterogeneous ordered group at
+# epsilon 2 with its window draws), so chunks are left out of the budget.  The
+# first coordinates kept in the band peak at 16 bytes per draw when every draw
+# is kept (any K: the chunks' results while they are joined, then the sample
+# and the KS test's sorted copy); 128 are budgeted
 MAX_ARRAY_BYTES = 2 << 30
 MAX_GRID_N = MAX_ARRAY_BYTES // 64
 MAX_MC_DRAWS = MAX_ARRAY_BYTES // 128
@@ -156,21 +152,15 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     import numpy as np
 
-    from .verify import _BLOCK_ROWS, _WORKERS, mc_conditional_check, verify_product_coherence
+    from .verify import mc_conditional_check, verify_product_coherence
 
     group = _group_from_args(args)
     claimed = parse_dist(args.claimed) if args.claimed else coherent_product(group.components)
     methods = ["grid", "mc"] if args.method == "both" else [args.method]
     if "grid" in methods and args.grid_n is not None and args.grid_n > MAX_GRID_N:
         raise _InputError(f"--grid-n: at most {MAX_GRID_N} grid points, got {args.grid_n}")
-    if "mc" in methods:
-        block = min(args.n_draws, _BLOCK_ROWS)
-        in_flight = min(_WORKERS, -(-args.n_draws // _BLOCK_ROWS))
-        need = 128 * args.n_draws + 64 * group.k * block * in_flight
-        if need > MAX_ARRAY_BYTES:
-            raise _InputError(f"--n-draws: {args.n_draws} draws of {group.k} components need "
-                              f"about {need >> 20} MiB, over the {MAX_ARRAY_BYTES >> 20} MiB "
-                              "budget")
+    if "mc" in methods and args.n_draws > MAX_MC_DRAWS:
+        raise _InputError(f"--n-draws: at most {MAX_MC_DRAWS} draws, got {args.n_draws}")
     rng = np.random.default_rng(args.seed)
     outputs = []
     all_passed = True

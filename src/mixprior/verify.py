@@ -14,17 +14,22 @@ Two routes certify a claimed nested prior against its K component priors:
   of reach for simulation, so this certifies a convergent approximation at
   significance ``alpha``.  It does not draw the rows the band would reject:
   given the first coordinate, the band's events are independent and their
-  probabilities are CDF differences, each bounded about its component's
-  mode, so it draws a binomial count of candidates at the bound's rate,
-  draws only their first coordinates and keeps each with its probability
-  over the bound.  This thinning is exact: the kept sample and its count
-  have the laws they would have from ``n_draws`` full rows.  A
-  heterogeneous ordered group (and an identical ordered one whose band is
-  very wide) draws rows.  Candidates come in chunks of 8,192 and rows in
-  blocks of 32,768, each from its own child generator spawned from the
-  caller's stream, on a thread pool with one worker per CPU (numpy's
-  generators and ufuncs release the GIL).  Memory is one chunk per worker
-  plus the retained first coordinates, whatever ``n_draws``.
+  probabilities are window masses, each bounded about its component's mode,
+  so it draws a binomial count of candidates at the bound's rate, draws only
+  their first coordinates and keeps each with its probability over the
+  bound.  A squeeze settles most of these tests from the density at the
+  window's edges and mode, and only the rest call the CDF.  Every group
+  takes this one path: an ordered group's windows are one-sided, a
+  heterogeneous ordered group's rate is divided by the cone's mass, which
+  comes from quadrature, and where a rate passes 1 each stream draws its
+  kept count from the same quadrature and candidates until it is reached.
+  The thinning is exact: the kept sample has the law it would have from
+  ``n_draws`` full rows, and so has its count, up to the quadrature's error
+  on the kept-count route.  Candidates come in chunks, each from its own
+  child generator spawned from the caller's stream, on a thread pool with
+  one worker per CPU (numpy's generators and ufuncs release the GIL).
+  Memory is one chunk per worker plus the retained first coordinates,
+  whatever ``n_draws`` and K.
 
 Everything in here is a pure function of its inputs (plus the supplied
 generator), so identical seeds reproduce reports bit for bit, on any machine
@@ -36,11 +41,11 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .coherence import MixturePriorGroup
-from .constraints import sample_ordered
 from .distributions import DistSpec
 from .errors import GridCoverageError, InsufficientRetentionError
 from .reports import CoherenceReport
@@ -174,12 +179,6 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     )
 
 
-# working-set budget of one float64 column of a direct-path block: a
-# heterogeneous ordered group's block holds up to about 7K columns of
-# proposals, kept copies and rows and a band mask, whatever the number of
-# draws, and one block is in flight per worker
-_BLOCK_BYTES = 1 << 18
-_BLOCK_ROWS = _BLOCK_BYTES // 8
 # candidates per thinned chunk: a factor's one CDF call takes both window
 # edges of every candidate, half a KS chunk of points, so two workers' CDF
 # temporaries together stay within those of one KS chunk
@@ -187,8 +186,23 @@ _CHUNK = _KS_CHUNK // 4
 # grid steps of a window bound: it exceeds the heaviest window by at most the
 # mass of one step, about 1/64 of that window's
 _BOUND_STEPS = 64
+# slack of the squeeze's bounds on a window mass: relative, past the log
+# density's rounding (about a eps at gamma shape a), and absolute, past the
+# rounding of the CDF difference (1.7e-9 at gamma shape 1e6, 1e-15 at 4)
+_SQUEEZE_REL = 1e-6
+_SQUEEZE_ABS = 1e-8
+# rounds of uniform proposals in a window draw before it bisects the CDF
+_WINDOW_ROUNDS = 16
+_BISECTION_STEPS = 64
+# steps of the quadrature inside one window
+_INNER_STEPS = 64
+# the kept-count route draws chunks of a KS chunk's size, up to 256 per
+# wave: with the squeeze, a chunk of _CHUNK would send only a few hundred
+# points to each CDF call, whose fixed cost would then dominate
+_WAVE_CHUNK = _KS_CHUNK
+_WAVE_CHUNKS = 256
 
-# band-check blocks run on one thread per CPU this process may use
+# band-check chunks run on one thread per CPU this process may use
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
@@ -221,50 +235,208 @@ def _window_bound(dist, width):
     return min(1.0, mass * (1.0 + 1e-9) + 1e-12)
 
 
+def _density(dist, x):
+    # f(x), 0 off the open support and at infinite x; a density too large
+    # for a double is inf.  Call under np.errstate(all="ignore")
+    inside = np.isfinite(x) & (x > dist.support[0])
+    if inside.all():
+        return np.exp(dist.log_pdf(x))
+    out = np.zeros(x.shape)
+    out[inside] = np.exp(dist.log_pdf(x[inside]))
+    return out
+
+
+def _density_range(dist, lo, hi):
+    # (least, greatest) density on each window [lo, hi]: every family is
+    # unimodal, so both are at the edges, except the greatest where the window
+    # holds the mode; a mode at the support's edge counts as infinite
+    f_lo, f_hi = _density(dist, lo), _density(dist, hi)
+    mode = dist.mode()
+    top = _density(dist, np.array([mode]))[0] if mode > dist.support[0] else math.inf
+    least, greatest = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
+    return least, np.where((lo <= mode) & (mode <= hi), top, greatest)
+
+
+def _squeeze(dist, lo, hi):
+    # bounds (low, high) on the window masses F(hi) - F(lo) from the density
+    # range times the width, with a slack past the rounding of both; where
+    # an infinite width meets a zero density there is no bound (-inf, inf)
+    with np.errstate(all="ignore"):
+        width = hi - lo
+        least, greatest = _density_range(dist, lo, hi)
+        low = width * least * (1.0 - _SQUEEZE_REL) - _SQUEEZE_ABS
+        high = width * greatest * (1.0 + _SQUEEZE_REL) + _SQUEEZE_ABS
+    return np.where(np.isnan(low), -np.inf, low), np.where(np.isnan(high), np.inf, high)
+
+
+def _grid(components):
+    # the grid oracle's coordinate over the union of the components' bounds:
+    # the points u, their x and the log of dx/du
+    log_x = components[0].support[0] == 0.0
+    bounds = [c.grid_bounds() for c in components]
+    lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
+    if log_x:
+        lo, hi = max(lo, -_LOG_X_LIMIT), min(hi, _LOG_X_LIMIT)
+    us = np.linspace(lo, hi, DEFAULT_GRID_N)
+    return us, (np.exp(us) if log_x else us), (us if log_x else 0.0)
+
+
+def _cumulative(g, h):
+    # the integral of g from the first point of the last axis to each point:
+    # the trapezoid rule with its Euler-Maclaurin end correction, error O(h^4)
+    # with the slope per step from fourth-order differences (second at the ends)
+    out = np.zeros(g.shape)
+    np.cumsum(0.5 * h * (g[..., 1:] + g[..., :-1]), axis=-1, out=out[..., 1:])
+    slope = np.gradient(g, axis=-1, edge_order=2)
+    slope[..., 2:-2] = (8.0 * (g[..., 3:-1] - g[..., 1:-3]) - (g[..., 4:] - g[..., :-4])) / 12.0
+    return out - (h / 12.0) * (slope - slope[..., :1])
+
+
+def _cone_mass(components):
+    # P(x_1 <= ... <= x_K) by the recursion G_1 = F_1, G_j = int f_j G_(j-1)
+    us, xs, log_jacobian = _grid(components)
+    with np.errstate(all="ignore"):
+        g = np.asarray(components[0].cdf(xs), dtype=float)
+        for dist in components[1:]:
+            g = _cumulative(np.exp(dist.log_pdf(xs) + log_jacobian) * g, us[1] - us[0])
+    return float(g[-1])
+
+
+def _keep_mass(group, epsilon):
+    # int f_1 q, q(y) = P(y <= x_2 <= ... <= x_K < y + eps) for independent
+    # x_j, on the grid: q is a window mass at K = 2, a power of one for an
+    # identical group, and otherwise the cone recursion run inside each
+    # window on _INNER_STEPS steps, up to the last grid point
+    first, *others = group.components
+    us, xs, log_jacobian = _grid(group.components)
+    with np.errstate(all="ignore"):
+        if group.identical or len(others) == 1:
+            q = _window_mass(others[0], xs, xs + epsilon) ** len(others)
+            q /= math.factorial(len(others))
+        else:
+            width = np.minimum(xs + epsilon, xs[-1]) - xs
+            s = xs[:, None] + width[:, None] * np.linspace(0.0, 1.0, _INNER_STEPS + 1)
+            h = width[:, None] / _INNER_STEPS
+            q = np.ones(s.shape)
+            for dist in others:
+                q = _cumulative(_density(dist, s) * q, h)
+            q = q[:, -1]
+        return float(np.trapezoid(np.exp(first.log_pdf(xs) + log_jacobian) * q, us))
+
+
+class _Thinning(NamedTuple):
+    """How a group's band is thinned.
+
+    ``rate`` candidates stand for one row; a candidate's first coordinate
+    ``x`` is drawn and kept when ``u c < F(x + hi) - F(x + lo)`` for each of
+    the ``factors`` ``(F, c, lo, hi)``, one uniform ``u`` per factor and
+    ``c`` a bound on the factor's window masses.  ``inner`` components are
+    then drawn inside ``[x, x + width)`` and the candidate is kept if they
+    come out in order.  ``keep`` is None where each stream draws a binomial
+    count of candidates at ``rate``; else ``rate`` passed 1, and each stream
+    draws its kept count at ``keep`` and candidates until it is reached.
+    """
+
+    rate: float
+    factors: tuple
+    keep: float | None = None
+    inner: tuple = ()
+    width: float = 0.0
+
+
 def _thinning(group, epsilon):
-    # (rate, factors) of the exact thinning of the band, or None where rows
-    # must be drawn.  A row is a candidate with probability `rate`; only a
-    # candidate's first coordinate x is drawn, and it is kept when
-    # u * c < F(x + hi) - F(x + lo) for every factor (F, c, lo, hi), with one
-    # uniform u per factor and c bounding the factor's window masses
+    # given x_1 a plain row is kept when each x_j lies in (x_1 - epsilon,
+    # x_1 + epsilon), and an ordered one when each lies in [x_1, x_1 + epsilon);
+    # the events are independent
+    lo, width = (0.0, epsilon) if group.ordered else (-epsilon, 2.0 * epsilon)
+    others = group.components[1:]
+    bounds = {d: _window_bound(d, width) for d in set(others)}
+    factors = tuple((d, bounds[d], lo, epsilon) for d in others)
+    bound = math.prod(c for _, c, _, _ in factors)
     if not group.ordered:
-        # given x_1 the events |x_j - x_1| < epsilon are independent
-        factors = [(d, _window_bound(d, 2.0 * epsilon), -epsilon, epsilon)
-                   for d in group.components[1:]]
-        return math.prod(c for _, c, _, _ in factors), factors
-    if not group.identical:
-        # the kept rows' law involves the unknown cone mass P(x_1 <= ... <= x_K)
-        return None
-    # the minimum y of a sorted row whose others lie in [y, y + epsilon) has
-    # density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y); a rate above 1
-    # (a band so wide it keeps more than 1/K of the rows) takes the rows
-    dist, k = group.components[0], group.k
-    c = _window_bound(dist, epsilon)
-    rate = k * c ** (k - 1)
-    return (rate, [(dist, c, 0.0, epsilon)] * (k - 1)) if rate <= 1.0 else None
+        return _Thinning(bound, factors)
+    if group.identical:
+        # the minimum y of a sorted row whose others lie in [y, y + epsilon)
+        # has density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y)
+        rate, inner = group.k * bound, ()
+    else:
+        # a row of the cone x_1 <= ... <= x_K stands for 1 / P(cone) rows of
+        # the product; from K = 3 the others must also come out in order
+        cone = _cone_mass(group.components)
+        if not cone > 0.0:
+            raise InsufficientRetentionError("the ordering cone x_1 <= ... <= x_K has no mass "
+                                             "on the components' grid")
+        rate, inner = bound / cone, (group.components[1:] if group.k > 2 else ())
+    if rate <= 1.0:
+        return _Thinning(rate, factors, None, inner, epsilon)
+    if not math.isfinite(epsilon):
+        keep = 1.0
+    else:
+        keep = _keep_mass(group, epsilon) * (math.factorial(group.k) if group.identical
+                                            else 1.0 / cone)
+    return _Thinning(rate, factors, min(max(keep, 0.0), 1.0), inner, epsilon)
 
 
-def _thinned_chunk(first, factors, size, rng):
+def _window_draws(dist, lo, hi, rng):
+    # one draw of dist inside each window [lo, hi): up to _WINDOW_ROUNDS
+    # uniform proposals accepted with f / (greatest f on the window), then
+    # the CDF inverted by bisection for the windows none was accepted in.
+    # Both give the law of dist on the window, so their mixture does too
+    with np.errstate(all="ignore"):
+        greatest = _density_range(dist, lo, hi)[1]
+    out = np.full(lo.size, np.nan)
+    todo = np.flatnonzero(np.isfinite(greatest) & (greatest > 0.0))
+    for _ in range(_WINDOW_ROUNDS):
+        if not todo.size:
+            break
+        s = lo[todo] + (hi[todo] - lo[todo]) * rng.uniform(size=todo.size)
+        with np.errstate(all="ignore"):
+            hit = rng.uniform(size=todo.size) * greatest[todo] < _density(dist, s)
+        out[todo[hit]] = s[hit]
+        todo = todo[~hit]
+    rest = np.flatnonzero(np.isnan(out))
+    if rest.size:
+        a, b = lo[rest], hi[rest]
+        cdf = np.asarray(dist.cdf(np.concatenate([a, b])), dtype=float)
+        target = cdf[:rest.size] + rng.uniform(size=rest.size) * (cdf[rest.size:]
+                                                                  - cdf[:rest.size])
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            left = np.asarray(dist.cdf(mid), dtype=float) < target
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        out[rest] = 0.5 * (a + b)
+    return out
+
+
+def _thinned_chunk(first, thinning, size, rng):
     # the kept ones of `size` candidates.  A factor's uniforms go to the
-    # candidates the factors before it kept, and a factor equal to the one
-    # before it reuses its window masses
+    # candidates the factors before it kept, and the squeeze settles each
+    # test it can: only the candidates whose uniform lies between its bounds
+    # reach the CDF, and a factor equal to the one before it reuses their
+    # window masses and its bounds
     x = first.sample(rng, size=size)
-    mass = previous = None
-    for factor in factors:
+    previous = None
+    for factor in thinning.factors:
         dist, c, lo, hi = factor
         if factor != previous:
-            mass = _window_mass(dist, x + lo, x + hi)
-        keep = rng.uniform(size=x.size) * c < mass
-        x, mass, previous = x[keep], mass[keep], factor
+            edges = (x + lo, x + hi)
+            low, high = _squeeze(dist, *edges)
+            mass = np.full(x.size, np.nan)
+        t = rng.uniform(size=x.size) * c
+        settled = (t < low) | (t >= high)
+        open_ = ~settled & np.isnan(mass)
+        if open_.any():
+            mass[open_] = _window_mass(dist, edges[0][open_], edges[1][open_])
+        keep = np.where(settled, t < low, t < mass)
+        x, mass, low, high = x[keep], mass[keep], low[keep], high[keep]
+        edges, previous = (edges[0][keep], edges[1][keep]), factor
+    # x_2, ..., x_K inside [x, x + width), column by column while in order
+    last = x
+    for dist in thinning.inner:
+        drawn = _window_draws(dist, x, x + thinning.width, rng)
+        keep = drawn >= last
+        x, last = x[keep], drawn[keep]
     return x
-
-
-def _retained_block(group, epsilon, m, rng):
-    # the first coordinates of m ordered rows x_1 <= ... <= x_K that fall
-    # inside the band, which in the cone is x_K - x_1 < epsilon
-    draws = sample_ordered(group, rng, size=m)
-    first = draws[:, 0]
-    return first[draws[:, -1] - first < epsilon]
 
 
 def _split(stream, total, size):
@@ -273,16 +445,29 @@ def _split(stream, total, size):
     return [(min(size, total - j * size), child) for j, child in enumerate(children)]
 
 
-def _stream_tasks(group, epsilon, n, stream, thinning):
-    # one stream's share of n rows as tasks; each returns retained first coordinates
-    if thinning is None:
-        return [partial(_retained_block, group, epsilon, m, child)
-                for m, child in _split(stream, n, _BLOCK_ROWS)]
-    rate, factors = thinning
+def _stream_share(group, thinning, n, stream, run):
+    # one stream's retained first coordinates of n rows; `run` maps a list
+    # of tasks to their results in order
+    chunk = partial(_thinned_chunk, group.components[0], thinning)
     (counter,) = stream.spawn(1)
-    candidates = int(counter.binomial(n, rate))
-    return [partial(_thinned_chunk, group.components[0], factors, m, child)
-            for m, child in _split(stream, candidates, _CHUNK)]
+    if thinning.keep is None:
+        candidates = int(counter.binomial(n, thinning.rate))
+        return np.concatenate([np.empty(0), *run([partial(chunk, m, child) for m, child
+                                                  in _split(stream, candidates, _CHUNK)])])
+    # the kept count, then full chunks in waves sized from the acceptance
+    # keep / rate, four binomial deviations over the count still short,
+    # until it is reached; the pool is cut there
+    need = int(counter.binomial(n, thinning.keep))
+    acceptance = thinning.keep / thinning.rate
+    kept, total = [np.empty(0)], 0
+    while total < need:
+        short = need - total
+        chunks = min(math.ceil((short + 4.0 * math.sqrt(short)) / (acceptance * _WAVE_CHUNK)),
+                     _WAVE_CHUNKS)
+        for x in run([partial(chunk, _WAVE_CHUNK, child) for child in stream.spawn(chunks)]):
+            kept.append(x)
+            total += x.size
+    return np.concatenate(kept)[:need]
 
 
 def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: float,
@@ -296,36 +481,56 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     independent generators; with a sequence the draws are partitioned evenly
     across the streams and the retained samples are pooled before the test.
 
-    Except for a heterogeneous ordered group, the band is thinned exactly,
-    not drawn row by row.  Given ``x_1``, a plain group's row lies in the band
-    with probability ``q(x_1) = prod_j [F_j(x_1 + eps) - F_j(x_1 - eps)]``.
-    Each factor is at most ``c_j``, the mass of ``F_j``'s heaviest window of
-    width ``2 eps``: every family is unimodal, so that window starts in
-    ``[mode_j - 2 eps, mode_j]``, and 64 steps over that interval bound it to
-    within the mass of one step.  So each stream draws a candidate count
-    ``M ~ Binomial(n, prod_j c_j)``, draws ``x_1`` for the candidates only,
-    and keeps a candidate when ``u_j c_j < F_j(x_1 + eps) - F_j(x_1 - eps)``
-    for every factor, with one uniform per factor, drawn for the candidates
-    the factors before it kept.  The kept coordinates then have the law of
-    the kept rows of ``n`` full rows, and their count the same binomial law.
-    An identical ordered group thins the same way: the minimum ``y`` of a
-    kept sorted row has density ``K f(y) W(y)^(K-1)``, ``W(y) = F(y + eps) -
-    F(y)``, so the rate is ``K c^(K-1)`` with ``c`` the mass of the heaviest
-    window of width ``eps``, and ``K - 1`` uniforms are tested against one
-    ``W``.  When that rate passes 1, and always for a heterogeneous ordered
-    group, whose kept rows involve the unknown mass of the cone, the check
-    draws rows with ``sample_ordered`` and keeps those with ``x_K - x_1 <
-    eps``.  Seeded reports of every group but a heterogeneous ordered one
-    changed when the thinning came in.
+    The band is thinned exactly, not drawn row by row.  Given ``x_1``, a
+    plain group's row lies in the band with probability ``q(x_1) = prod_j
+    [F_j(x_1 + eps) - F_j(x_1 - eps)]``.  Each factor is at most ``c_j``, the
+    mass of ``F_j``'s heaviest window of width ``2 eps``: every family is
+    unimodal, so that window starts in ``[mode_j - 2 eps, mode_j]``, and 64
+    steps over that interval bound it to within the mass of one step.  So
+    each stream draws a candidate count ``M ~ Binomial(n, prod_j c_j)``, draws
+    ``x_1`` for the candidates only, and keeps a candidate when ``u_j c_j <
+    F_j(x_1 + eps) - F_j(x_1 - eps)`` for every factor, with one uniform per
+    factor, drawn for the candidates the factors before it kept.  The kept
+    coordinates then have the law of the kept rows of ``n`` full rows, and
+    their count the same binomial law.
+
+    Most of those tests never call the CDF.  On a window ``[a, b]`` a unimodal
+    density's mass lies between ``(b - a) min(f(a), f(b))`` and ``(b - a)
+    max(f(a), f(b))``, or ``(b - a) f(mode)`` when the window holds the mode;
+    a uniform below the lower bound keeps the candidate and one at or above
+    the upper bound drops it (Marsaglia's squeeze).  The bounds are widened
+    by a slack past the rounding of the log density and of the CDF
+    difference, so the squeeze takes the decisions the CDF would and seeded
+    reports did not change with it.
+
+    An ordered row is kept when ``x_2, ..., x_K`` lie in ``[x_1, x_1 +
+    eps)``, one-sided windows whose heaviest masses bound the factors.  An
+    identical ordered group's minimum ``y`` has density ``K f(y)
+    W(y)^(K-1)``, ``W(y) = F(y + eps) - F(y)``, so its rate is ``K
+    c^(K-1)``.  A heterogeneous ordered group's row of the cone ``x_1 <= ...
+    <= x_K`` stands for ``1 / P(cone)`` rows of the product, so its rate is
+    ``prod_j c_j / P(cone)``, with ``P(cone)`` from the recursion ``G_1 =
+    F_1``, ``G_j = int f_j G_(j-1)`` on the grid oracle's coordinate over the
+    union of the components' grid bounds; from K = 3 a kept candidate also
+    draws ``x_2..x_K`` inside its window and is kept if they come out in
+    order.  Where the rate passes 1, each stream instead draws its kept count
+    ``N ~ Binomial(n, P_keep)``, ``P_keep = int f_1 q / P(cone)`` with ``q(y)
+    = P(y <= x_2 <= ... <= x_K < y + eps)`` from the same quadrature, then
+    candidates until ``N`` are kept, and cuts the pool at ``N``: the count is
+    exact up to the quadrature's error.  Seeded reports of heterogeneous
+    ordered groups, and of identical ordered ones past rate 1, changed when
+    they came onto this path; before, they drew whole ordered rows.
 
     A stream's count comes from ``stream.spawn(1)[0]``; its candidates then
     come in chunks of ``_CHUNK`` (8,192), and chunk j of ``n_chunks`` draws
-    from ``stream.spawn(n_chunks)[j]``.  Drawn rows come the same way in
-    blocks of ``_BLOCK_ROWS`` (32,768).  So the call advances each stream's
-    spawn counter, not its bit generator.  The chunks run on a thread pool
-    with one worker per CPU and are pooled in order, so a seeded report does
-    not depend on the number of CPUs; it does depend on the chunk size.
-    Only the retained first coordinates outlive a chunk.
+    from ``stream.spawn(n_chunks)[j]``.  On the kept-count route they come in
+    full chunks of ``_WAVE_CHUNK`` (32,768), in waves sized from the
+    acceptance ``P_keep / rate``, each wave's chunks spawned after the last
+    wave's.  So the call advances each stream's spawn counter, not its bit
+    generator.  The chunks run on a thread pool with one worker per CPU and
+    are pooled in order, and every decision depends only on counts, so a
+    seeded report does not depend on the number of CPUs; it does depend on
+    the chunk sizes.  Only the retained first coordinates outlive a chunk.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)
@@ -343,16 +548,16 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
         raise ValueError("need at least one generator")
     share, remainder = divmod(n_draws, len(streams))
     thinning = _thinning(group, epsilon)
-    tasks = []
-    for i, stream in enumerate(streams):
-        n = share + (1 if i < remainder else 0)
-        tasks.extend(_stream_tasks(group, epsilon, n, stream, thinning))
     # imported here: `verify --method grid` and the numpy-free commands skip its cost
     from concurrent.futures import ThreadPoolExecutor
 
-    # no task at all when every stream's candidate count is 0
-    with ThreadPoolExecutor(max_workers=max(1, min(_WORKERS, len(tasks)))) as pool:
-        retained = np.concatenate([np.empty(0), *pool.map(lambda task: task(), tasks)])
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        def run(tasks):
+            return list(pool.map(lambda task: task(), tasks))
+
+        retained = np.concatenate([
+            _stream_share(group, thinning, share + (1 if i < remainder else 0), stream, run)
+            for i, stream in enumerate(streams)])
     n_retained = int(retained.size)
     if n_retained < _MIN_KS_SAMPLES:
         raise InsufficientRetentionError(

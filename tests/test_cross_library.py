@@ -186,3 +186,68 @@ def test_band_retention_matches_a_quadrature_of_the_window_masses(family, pairs,
                                   rng=np.random.default_rng(SEED + 7))
     assert abs(report.n_retained - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p)), \
         (report.n_retained, n * p)
+
+
+# (components, ordered band half-width, P(cone) and P(keep) to 7 digits): the
+# thinned ordered band's cone mass and keep probability, which its candidate
+# rate and its kept count read, against scipy quadrature
+CONE_CASES = {
+    "inv-gamma-pair": ([InvGamma(1.5, 2.0), InvGamma(2.5, 4.0)], 0.02, (0.1139511, 0.1505334)),
+    "normal-prec-pair": ([NormalPrec(-0.5, 4.0), NormalPrec(0.5, 4.0)], 0.005,
+                         (0.9213504, 0.001132)),
+    "gamma-triple": ([Gamma(2.0, 1.0), Gamma(3.0, 2.0), Gamma(4.0, 1.5)], 0.05,
+                     (0.26742, 0.000309)),
+}
+
+
+def _scipy_dist(dist):
+    if isinstance(dist, NormalPrec):
+        return stats.norm(dist.m, 1.0 / math.sqrt(dist.vprec))
+    return _scipy(dist.family, *dist.params())
+
+
+@pytest.mark.parametrize("components, epsilon, digits", CONE_CASES.values(),
+                         ids=CONE_CASES.keys())
+def test_ordered_band_quadrature_matches_scipy(components, epsilon, digits):
+    # P(cone) = P(x_1 <= ... <= x_K) and P(keep) = int f_1 q / P(cone), with
+    # q(y) = P(y <= x_2 <= ... <= x_K < y + eps), at 1e-10 relative.  The outer
+    # integrals run in log x for the positive families; at K = 3 the middle
+    # coordinate s of the cone sees two CDFs, and q is a 40-point Gauss-Legendre
+    # rule over the window, whose integrand is smooth
+    from mixprior import verify
+
+    group = MixturePriorGroup(components=tuple(components), ordered=True)
+    cone = verify._cone_mass(group.components)
+    keep = verify._keep_mass(group, epsilon) / cone
+    first, *others = [_scipy_dist(d) for d in components]
+    log_x = components[0].support[0] == 0.0
+
+    def integral(f, dist):
+        # int f(x) dx over dist's quantiles 1e-15 and 1 - 1e-15
+        lo, hi = dist.ppf(1e-15), dist.isf(1e-15)
+        if log_x:
+            value, _ = integrate.quad(lambda u: f(math.exp(u)) * math.exp(u), math.log(lo),
+                                      math.log(hi), epsabs=0.0, epsrel=1e-12, limit=400)
+        else:
+            value, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)
+        return value
+
+    if len(others) == 1:
+        (second,) = others
+        ref_cone = integral(lambda s: second.pdf(s) * first.cdf(s), second)
+        ref_keep = integral(lambda y: first.pdf(y) * (second.cdf(y + epsilon) - second.cdf(y)),
+                            first)
+    else:
+        second, third = others
+        ref_cone = integral(lambda s: second.pdf(s) * first.cdf(s) * third.sf(s), second)
+
+        def q(y):
+            inner, _ = integrate.fixed_quad(
+                lambda s: second.pdf(s) * (third.cdf(y + epsilon) - third.cdf(s)),
+                y, y + epsilon, n=40)
+            return inner
+
+        ref_keep = integral(lambda y: first.pdf(y) * q(y), first)
+    assert cone == pytest.approx(ref_cone, rel=1e-10)
+    assert keep == pytest.approx(ref_keep / ref_cone, rel=1e-10)
+    assert (round(cone, 7), round(keep, 7)) == digits

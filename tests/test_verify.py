@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixprior import (
     CoherenceReport,
@@ -324,9 +326,11 @@ def _thinned_reference(group, epsilon, n, stream):
     # child, then chunks of candidates, each from the next spawned child.  A
     # chunk draws the first coordinates, then for each factor one uniform per
     # candidate still kept, tested against its window mass, which a factor
-    # equal to the one before it does not compute again
-    rate, factors = verify._thinning(group, epsilon)
-    count = int(stream.spawn(1)[0].binomial(n, rate))
+    # equal to the one before it does not compute again.  Every mass comes
+    # from the CDF, so the band check's squeeze must take the same decisions
+    thinning = verify._thinning(group, epsilon)
+    factors = thinning.factors
+    count = int(stream.spawn(1)[0].binomial(n, thinning.rate))
     sizes = _block_rows(count, verify._CHUNK)
     kept = [np.empty(0)]
     for size, child in zip(sizes, stream.spawn(len(sizes))):
@@ -451,23 +455,11 @@ def test_band_block_draws_a_column_only_for_rows_still_in_the_band(group):
     # before it kept, so no other column of the m rows is ever drawn
     m = 10_000
     rng = _CountingRng(SEED)
-    _, factors = verify._thinning(group, 0.05)
-    retained = verify._thinned_chunk(group.components[0], factors, m, rng)
+    retained = verify._thinned_chunk(group.components[0], verify._thinning(group, 0.05), m, rng)
     assert 0 < retained.size < m
     assert [kind for kind, _ in rng.calls] == ["normal", "uniform", "uniform"]
     sizes = [size for _, size in rng.calls]
     assert sizes[0] == sizes[1] == m and retained.size <= sizes[2] < m
-
-
-def test_heterogeneous_ordered_block_draws_the_rows_of_sample_ordered():
-    # a heterogeneous ordered group still draws rows, as before the band was
-    # thinned, so its seeded reports did not change
-    group = MixturePriorGroup(components=_K3_COMPONENTS, ordered=True)
-    assert verify._thinning(group, 0.05) is None
-    rows = sample_ordered(group, np.random.default_rng(SEED), size=5000)
-    expected = rows[rows[:, -1] - rows[:, 0] < 0.05, 0]
-    retained = verify._retained_block(group, 0.05, 5000, np.random.default_rng(SEED))
-    assert retained.tolist() == expected.tolist()
 
 
 def _one_shot_retained(group, epsilon, m, rng):
@@ -499,8 +491,8 @@ _SHIFTED = (NormalVar(0.0, 1.0), NormalVar(0.5, 1.0), NormalVar(1.0, 1.0))
 
 def _sequential(group, epsilon, n, stream):
     # one stream's share of the band check, its tasks run in order on this thread
-    tasks = verify._stream_tasks(group, epsilon, n, stream, verify._thinning(group, epsilon))
-    return np.concatenate([np.empty(0)] + [task() for task in tasks])
+    return verify._stream_share(group, verify._thinning(group, epsilon), n, stream,
+                                lambda tasks: [task() for task in tasks])
 
 
 _LAW_CASES = {
@@ -519,7 +511,7 @@ _LAW_CASES = {
     "gamma-0.5-ordered": (MixturePriorGroup(components=(Gamma(0.5, 1.0),) * 3,
                                             ordered=True), 0.2),
     "inv-gamma-0.1": (MixturePriorGroup(components=(InvGamma(0.1, 1.0),) * 2), 0.5),
-    # K c^(K-1) > 1: the band keeps more than 1/K of the rows, which are drawn
+    # K c^(K-1) > 1: the band keeps more than 1/K of the rows; the kept count is drawn
     "wide-identical-ordered": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3,
                                                  ordered=True), 2.0),
 }
@@ -545,18 +537,77 @@ def test_band_block_keeps_the_law_of_one_shot_draws(group, epsilon):
     assert _two_sample_ks(lazy, full) < critical
 
 
+_ORDERED_BAND = (InvGamma(1.5, 2.0), InvGamma(2.5, 4.0))
+
+_ORDERED_LAW_CASES = {
+    # c_2 / P(cone) = 0.146 / 0.114 > 1: the kept count is drawn at P(keep)
+    "ordered-band-pair": (MixturePriorGroup(components=_ORDERED_BAND, ordered=True), 0.02),
+    # three window factors under 1 / P(cone), then x_2, x_3 drawn in the window
+    "heterogeneous-k3": (MixturePriorGroup(components=_K3_COMPONENTS, ordered=True), 0.2),
+    # past rate 1 (1.19): the kept count comes from the windows' inner quadrature
+    "heterogeneous-k3-wide": (MixturePriorGroup(components=_K3_COMPONENTS, ordered=True), 1.0),
+    "wide-identical-triple": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3,
+                                                ordered=True), 2.0),
+}
+
+
+@pytest.mark.parametrize("group, epsilon", _ORDERED_LAW_CASES.values(),
+                         ids=_ORDERED_LAW_CASES.keys())
+def test_ordered_band_keeps_the_law_of_sample_ordered_rows(group, epsilon):
+    # 30 streams of m rows each way: the thinned band against one-shot
+    # sample_ordered rows cut at x_K - x_1 < epsilon.  The retention counts
+    # agree within 4 binomial standard errors and the retained first
+    # coordinates pass a pooled two-sample KS test at alpha = 0.001
+    m, blocks = 20_000, 30
+    thinned = np.concatenate([_sequential(group, epsilon, m, np.random.default_rng([SEED, i]))
+                              for i in range(blocks)])
+    rows = [sample_ordered(group, np.random.default_rng([SEED + 1, i]), size=m)
+            for i in range(blocks)]
+    direct = np.concatenate([r[r[:, -1] - r[:, 0] < epsilon, 0] for r in rows])
+    total = blocks * m
+    p = (thinned.size + direct.size) / (2 * total)
+    assert abs(thinned.size - direct.size) < 4.0 * math.sqrt(2.0 * total * p * (1.0 - p)), \
+        (thinned.size, direct.size)
+    critical = ks_critical_value(thinned.size * direct.size // (thinned.size + direct.size),
+                                 alpha=0.001)
+    assert _two_sample_ks(thinned, direct) < critical
+
+
+def test_every_group_is_thinned():
+    # plain groups draw a candidate count at any width, up to rate 1; an
+    # identical ordered band past rate 1 and a heterogeneous ordered one
+    # draw their kept count; below rate 1 they draw a candidate count
+    for group in (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3),
+                  MixturePriorGroup(components=_SHIFTED)):
+        wide = verify._thinning(group, 1e3)
+        assert len(wide.factors) == 2 and wide.rate == 1.0 and wide.keep is None
+    identical = MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3, ordered=True)
+    narrow, wide = verify._thinning(identical, 0.2), verify._thinning(identical, 2.0)
+    assert narrow.keep is None and narrow.rate <= 1.0 and not narrow.inner
+    assert wide.rate > 1.0 and 0.0 < wide.keep < 1.0
+    pair = verify._thinning(MixturePriorGroup(components=_ORDERED_BAND, ordered=True), 0.02)
+    assert pair.rate > 1.0 and pair.keep == pytest.approx(0.1505334, rel=1e-6)
+    assert not pair.inner
+    triple = verify._thinning(MixturePriorGroup(components=_K3_COMPONENTS, ordered=True), 0.05)
+    assert triple.keep is None and triple.inner == _K3_COMPONENTS[1:]
+
+
 @pytest.mark.parametrize("group", [
     MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3),
     MixturePriorGroup(components=_K3_COMPONENTS),
-    MixturePriorGroup(components=(InvGamma(1.5, 2.0), InvGamma(2.5, 4.0)), ordered=True),
-], ids=["identical", "heterogeneous", "heterogeneous-ordered"])
+    MixturePriorGroup(components=_ORDERED_BAND, ordered=True),
+    MixturePriorGroup(components=_K3_COMPONENTS, ordered=True),
+], ids=["identical", "heterogeneous", "heterogeneous-ordered", "heterogeneous-ordered-k3"])
 def test_mc_report_is_a_sequential_pass_over_spawned_blocks_for_any_worker_count(
         group, monkeypatch):
-    # 200,000 rows make seven blocks, the last one short, or a few thousand
-    # candidates, in chunks of 700 here, the last one short
+    # 200,000 rows make a few thousand candidates, in chunks of 700 here, the
+    # last one short; the ordered pair passes rate 1 and draws its kept count
+    # from waves of full chunks of 5,000 candidates, at most 4 per wave
     claimed = coherent_product(group.components)
     n, epsilon = 200_000, 0.1
     monkeypatch.setattr(verify, "_CHUNK", 700)
+    monkeypatch.setattr(verify, "_WAVE_CHUNK", 5000)
+    monkeypatch.setattr(verify, "_WAVE_CHUNKS", 4)
     reference = _band_report(_sequential(group, epsilon, n, np.random.default_rng(SEED)),
                              claimed, epsilon)
     for workers in (1, 2, 3):
@@ -601,6 +652,74 @@ def test_window_bound_holds_every_computed_window(dist, epsilon):
         assert bound <= 1.05 * np.max(mass) + 1e-12, (bound, np.max(mass))
 
 
+_SCALAR_FAMILIES = {"normal_var": NormalVar, "normal_prec": NormalPrec, "gamma": Gamma,
+                    "inv_gamma": InvGamma}
+
+
+@st.composite
+def _windows(draw):
+    # a FAMILIES row, then one window [lo, hi]: anywhere, about the mode,
+    # touching or below 0, or with an infinite edge
+    family = draw(st.sampled_from(sorted(_SCALAR_FAMILIES)))
+    spread = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if family in ("gamma", "inv_gamma"):
+        dist = _SCALAR_FAMILIES[family](10.0 ** draw(st.floats(math.log10(0.05), 6.0)), spread)
+    else:
+        dist = _SCALAR_FAMILIES[family](draw(st.floats(-100.0, 100.0)), spread)
+    width = 10.0 ** draw(st.floats(-9.0, 3.0))
+    mode = dist.mode()
+    where = draw(st.sampled_from(["anywhere", "mode", "zero", "infinite"]))
+    if where == "anywhere":
+        lo = mode + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, 4.0))
+    elif where == "mode":
+        lo = mode - width * draw(st.floats(0.0, 1.0))
+    elif where == "zero":
+        lo = -width * draw(st.floats(0.0, 1.0))
+    else:
+        lo = draw(st.sampled_from([-math.inf, mode, mode - width]))
+        return dist, lo, math.inf if lo > -math.inf and draw(st.booleans()) else lo + width
+    return dist, lo, lo + width
+
+
+@settings(max_examples=400, deadline=None)
+@given(window=_windows())
+# windows holding the mode, where an upper bound from the edges alone falls
+# short, touching 0, or with an infinite edge
+@example(window=(NormalVar(0.0, 1.0), -1.0, 1.0))
+@example(window=(Gamma(3.0, 1.0), 1.5, 2.5))
+@example(window=(InvGamma(2.0, 1.0), 0.2, 0.5))
+@example(window=(Gamma(0.5, 1.0), 0.0, 1e-9))
+@example(window=(Gamma(1e6, 1.0), 999_999.0, 1_000_000.0))
+@example(window=(NormalPrec(1.0, 4.0), -math.inf, 1.2))
+@example(window=(InvGamma(0.05, 1e3), 0.0, math.inf))
+def test_squeeze_brackets_every_window_mass(window):
+    # the band check settles a window test by its squeeze, without the CDF,
+    # only if the bounds hold the mass the CDF gives
+    dist, lo, hi = window
+    lo, hi = np.array([lo]), np.array([hi])
+    low, high = verify._squeeze(dist, lo, hi)
+    mass = verify._window_mass(dist, lo, hi)
+    assert low[0] <= mass[0] <= high[0], (low, mass, high)
+
+
+def test_squeeze_sends_few_window_edges_to_the_cdf(monkeypatch):
+    # on the certify benchmark's normal_var_k2 group the bounds settle all but
+    # a few percent of a chunk's window tests
+    group = MixturePriorGroup(components=(NormalVar(0.0, 1.0), NormalVar(1.0, 2.0)))
+    thinning = verify._thinning(group, 0.02)
+    cdf, points = NormalVar.cdf, []
+
+    def counting_cdf(self, x):
+        points.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(NormalVar, "cdf", counting_cdf)
+    kept = verify._thinned_chunk(group.components[0], thinning, verify._CHUNK,
+                                 np.random.default_rng(SEED))
+    assert kept.size > 0
+    assert 0 < sum(points) < 0.1 * 2 * verify._CHUNK, sum(points)
+
+
 @pytest.mark.parametrize("ordered", [False, True], ids=["plain", "ordered"])
 def test_unbounded_band_keeps_every_row_without_a_cdf_at_infinity(ordered, monkeypatch):
     # the window edges x -+ inf take their limits without a CDF call
@@ -617,22 +736,18 @@ def test_unbounded_band_keeps_every_row_without_a_cdf_at_infinity(ordered, monke
     assert report.n_retained == 100_000
 
 
-def test_only_heterogeneous_ordered_groups_and_very_wide_ordered_bands_draw_rows():
-    identical = (NormalVar(0.0, 1.0),) * 3
-    assert verify._thinning(MixturePriorGroup(components=_SHIFTED, ordered=True), 0.2) is None
-    ordered = MixturePriorGroup(components=identical, ordered=True)
-    # 3 c^2 passes 1 between these half-widths
-    assert verify._thinning(ordered, 0.2) is not None
-    assert verify._thinning(ordered, 2.0) is None
-    for group in (MixturePriorGroup(components=identical), MixturePriorGroup(components=_SHIFTED)):
-        rate, factors = verify._thinning(group, 1e3)
-        assert len(factors) == 2 and rate == 1.0
+def test_ordered_group_with_an_empty_cone_raises_insufficient_retention():
+    # x_1 <= x_2 has probability Phi(-10 / 0.014) = 0 in doubles: no rate exists
+    group = MixturePriorGroup(components=(NormalPrec(10.0, 1e4), NormalPrec(0.0, 1e4)),
+                              ordered=True)
+    with pytest.raises(InsufficientRetentionError, match="cone"):
+        mc_conditional_check(group, NormalPrec(5.0, 2e4), epsilon=0.05, n_draws=100_000,
+                             rng=np.random.default_rng(SEED))
 
 
 def test_band_without_candidates_raises_insufficient_retention():
     group = MixturePriorGroup(components=(NormalVar(0, 1),) * 2)
-    rate, _ = verify._thinning(group, 1e-13)
-    assert rate * 100_000 < 1e-6
+    assert verify._thinning(group, 1e-13).rate * 100_000 < 1e-6
     with pytest.raises(InsufficientRetentionError, match="only 0 of"):
         mc_conditional_check(group, NormalVar(0.0, 0.5), epsilon=1e-13, n_draws=100_000,
                              rng=np.random.default_rng(SEED))
