@@ -357,8 +357,9 @@ def _thinning(group, epsilon):
         return _Thinning(bound, factors)
     if group.identical:
         # the minimum y of a sorted row whose others lie in [y, y + epsilon)
-        # has density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y)
-        rate, inner = group.k * bound, ()
+        # has density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y); the
+        # cone of K exchangeable draws has mass 1 / K!
+        rate, inner, cone = group.k * bound, (), 1.0 / math.factorial(group.k)
     else:
         # a row of the cone x_1 <= ... <= x_K stands for 1 / P(cone) rows of
         # the product; from K = 3 the others must also come out in order
@@ -369,11 +370,7 @@ def _thinning(group, epsilon):
         rate, inner = bound / cone, (group.components[1:] if group.k > 2 else ())
     if rate <= 1.0:
         return _Thinning(rate, factors, None, inner, epsilon)
-    if not math.isfinite(epsilon):
-        keep = 1.0
-    else:
-        keep = _keep_mass(group, epsilon) * (math.factorial(group.k) if group.identical
-                                            else 1.0 / cone)
+    keep = _keep_mass(group, epsilon) / cone if math.isfinite(epsilon) else 1.0
     return _Thinning(rate, factors, min(max(keep, 0.0), 1.0), inner, epsilon)
 
 
