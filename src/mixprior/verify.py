@@ -179,9 +179,10 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     )
 
 
-# candidates per thinned chunk: a factor's one CDF call takes both window
-# edges of every candidate, half a KS chunk of points, so two workers' CDF
-# temporaries together stay within those of one KS chunk
+# candidates per chunk of the binomial-count route, on which seeded reports
+# depend: a factor's one CDF call takes at most both window edges of every
+# candidate, half a KS chunk of points, so two workers' CDF temporaries
+# together stay within those of one KS chunk
 _CHUNK = _KS_CHUNK // 4
 # grid steps of a window bound: it exceeds the heaviest window by at most the
 # mass of one step, about 1/64 of that window's
