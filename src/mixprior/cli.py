@@ -41,8 +41,8 @@ MAX_STATIONARITY_K = 256
 # worker (verify._WORKERS), whatever K: measured by tracemalloc at its peak, a
 # chunk of 8,192 holds 80-120 bytes per candidate, and one of the kept-count
 # route's 32,768 at most 230 (7.1 MiB, a K = 3 heterogeneous ordered group at
-# epsilon 2 with its window draws), and the quadrature that counts a K >= 3
-# heterogeneous ordered band 14 MiB once, so both are left out of the budget.
+# epsilon 2 with its window draws), and the quadrature of an ordered band at
+# most 6 MiB once (65,536 points), so both are left out of the budget.
 # The first coordinates kept in the band peak at 16 bytes per draw when every
 # draw is kept (any K: the chunks' results while they are joined, then the
 # sample and the KS test's sorted copy); 128 are budgeted

@@ -195,8 +195,13 @@ _SQUEEZE_ABS = 1e-8
 # rounds of uniform proposals in a window draw before it bisects the CDF
 _WINDOW_ROUNDS = 16
 _BISECTION_STEPS = 64
-# steps of the quadrature inside one window
+# steps of the band's quadrature across the narrowest component's grid
+# bounds, the most points it may take (2 MiB an array), its steps inside one
+# window, and the windows it takes at once (0.5 MiB an array)
+_BAND_GRID_RESOLUTION = 128
+_BAND_GRID_MAX_N = 1 << 16
 _INNER_STEPS = 64
+_INNER_BLOCK = 1024
 # the kept-count route draws chunks of a KS chunk's size, up to 256 per
 # wave: with the squeeze, a chunk of _CHUNK would send only a few hundred
 # points to each CDF call, whose fixed cost would then dominate
@@ -271,14 +276,21 @@ def _squeeze(dist, lo, hi):
 
 
 def _grid(components):
-    # the grid oracle's coordinate over the union of the components' bounds:
-    # the points u, their x and the log of dx/du
+    # the grid oracle's coordinate over the union of the components' bounds,
+    # with at least _BAND_GRID_RESOLUTION steps across the narrowest
+    # component's bounds: the points u, their x and the log of dx/du
     log_x = components[0].support[0] == 0.0
-    bounds = [c.grid_bounds() for c in components]
+    limit = _LOG_X_LIMIT if log_x else math.inf
+    bounds = [(max(lo, -limit), min(hi, limit)) for lo, hi in
+              (c.grid_bounds() for c in components)]
     lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
-    if log_x:
-        lo, hi = max(lo, -_LOG_X_LIMIT), min(hi, _LOG_X_LIMIT)
-    us = np.linspace(lo, hi, DEFAULT_GRID_N)
+    steps = _BAND_GRID_RESOLUTION * (hi - lo) / min(b - a for a, b in bounds)
+    if not steps <= _BAND_GRID_MAX_N:
+        raise GridCoverageError(f"the components' grid bounds differ in width by a factor of "
+                                f"{steps / _BAND_GRID_RESOLUTION:.3g}, over the "
+                                f"{_BAND_GRID_MAX_N // _BAND_GRID_RESOLUTION} the band's "
+                                "quadrature resolves")
+    us = np.linspace(lo, hi, max(DEFAULT_GRID_N, math.ceil(steps) + 1))
     return us, (np.exp(us) if log_x else us), (us if log_x else 0.0)
 
 
@@ -315,14 +327,21 @@ def _keep_mass(group, epsilon):
             q = _window_mass(others[0], xs, xs + epsilon) ** len(others)
             q /= math.factorial(len(others))
         else:
-            width = np.minimum(xs + epsilon, xs[-1]) - xs
-            s = xs[:, None] + width[:, None] * np.linspace(0.0, 1.0, _INNER_STEPS + 1)
-            h = width[:, None] / _INNER_STEPS
-            q = np.ones(s.shape)
-            for dist in others:
-                q = _cumulative(_density(dist, s) * q, h)
-            q = q[:, -1]
+            q = np.concatenate([_window_cone_mass(others, y, xs[-1], epsilon)
+                                for y in np.array_split(xs, -(-xs.size // _INNER_BLOCK))])
         return float(np.trapezoid(np.exp(first.log_pdf(xs) + log_jacobian) * q, us))
+
+
+def _window_cone_mass(others, y, top, epsilon):
+    # P(y <= x_2 <= ... <= x_K < y + eps) at each y, by the cone recursion on
+    # _INNER_STEPS steps of the window, cut at `top`
+    width = np.minimum(y + epsilon, top) - y
+    s = y[:, None] + width[:, None] * np.linspace(0.0, 1.0, _INNER_STEPS + 1)
+    h = width[:, None] / _INNER_STEPS
+    q = np.ones(s.shape)
+    for dist in others:
+        q = _cumulative(_density(dist, s) * q, h)
+    return q[:, -1].copy()  # not a view that would keep the block alive
 
 
 class _Thinning(NamedTuple):
@@ -509,7 +528,10 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     <= x_K`` stands for ``1 / P(cone)`` rows of the product, so its rate is
     ``prod_j c_j / P(cone)``, with ``P(cone)`` from the recursion ``G_1 =
     F_1``, ``G_j = int f_j G_(j-1)`` on the grid oracle's coordinate over the
-    union of the components' grid bounds; from K = 3 a kept candidate also
+    union of the components' grid bounds, with at least 4,001 points and 128
+    steps across the narrowest component's bounds (components whose bounds
+    differ in width by more than a factor of 512 raise
+    :class:`GridCoverageError`); from K = 3 a kept candidate also
     draws ``x_2..x_K`` inside its window and is kept if they come out in
     order.  Where the rate passes 1, each stream instead draws its kept count
     ``N ~ Binomial(n, P_keep)``, ``P_keep = int f_1 q / P(cone)`` with ``q(y)

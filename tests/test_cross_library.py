@@ -197,12 +197,17 @@ CONE_CASES = {
                          (0.9213504, 0.001132)),
     "gamma-triple": ([Gamma(2.0, 1.0), Gamma(3.0, 2.0), Gamma(4.0, 1.5)], 0.05,
                      (0.26742, 0.000309)),
+    # standard deviations 10 and 0.1: the grid refines to resolve the narrow one
+    "normal-pair-of-two-scales": ([NormalVar(0.0, 100.0), NormalVar(1.0, 0.01)], 0.05,
+                                  (0.5398259, 0.0036774)),
 }
 
 
 def _scipy_dist(dist):
     if isinstance(dist, NormalPrec):
         return stats.norm(dist.m, 1.0 / math.sqrt(dist.vprec))
+    if isinstance(dist, NormalVar):
+        return stats.norm(dist.m, math.sqrt(dist.v))
     return _scipy(dist.family, *dist.params())
 
 
@@ -222,21 +227,23 @@ def test_ordered_band_quadrature_matches_scipy(components, epsilon, digits):
     first, *others = [_scipy_dist(d) for d in components]
     log_x = components[0].support[0] == 0.0
 
-    def integral(f, dist):
+    def integral(f, dist, points=None):
         # int f(x) dx over dist's quantiles 1e-15 and 1 - 1e-15
         lo, hi = dist.ppf(1e-15), dist.isf(1e-15)
         if log_x:
             value, _ = integrate.quad(lambda u: f(math.exp(u)) * math.exp(u), math.log(lo),
                                       math.log(hi), epsabs=0.0, epsrel=1e-12, limit=400)
         else:
-            value, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)
+            value, _ = integrate.quad(f, lo, hi, points=points, epsabs=0.0, epsrel=1e-12,
+                                      limit=400)
         return value
 
     if len(others) == 1:
         (second,) = others
         ref_cone = integral(lambda s: second.pdf(s) * first.cdf(s), second)
+        # the window masses of a narrow second component vanish but near its median
         ref_keep = integral(lambda y: first.pdf(y) * (second.cdf(y + epsilon) - second.cdf(y)),
-                            first)
+                            first, points=[second.median() - epsilon, second.median()])
     else:
         second, third = others
         ref_cone = integral(lambda s: second.pdf(s) * first.cdf(s) * third.sf(s), second)

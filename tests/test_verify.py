@@ -745,6 +745,16 @@ def test_ordered_group_with_an_empty_cone_raises_insufficient_retention():
                              rng=np.random.default_rng(SEED))
 
 
+def test_ordered_band_refuses_components_its_quadrature_cannot_resolve():
+    # standard deviations 1000 and 0.001: 128 steps across the narrow one's grid
+    # bounds would take 1.3e8 points
+    group = MixturePriorGroup(components=(NormalVar(0.0, 1e6), NormalVar(1.0, 1e-6)),
+                              ordered=True)
+    with pytest.raises(GridCoverageError, match="differ in width by a factor of 1e"):
+        mc_conditional_check(group, NormalVar(1.0, 1e-6), epsilon=0.01, n_draws=100_000,
+                             rng=np.random.default_rng(SEED))
+
+
 def test_band_without_candidates_raises_insufficient_retention():
     group = MixturePriorGroup(components=(NormalVar(0, 1),) * 2)
     assert verify._thinning(group, 1e-13).rate * 100_000 < 1e-6
