@@ -284,7 +284,8 @@ def _grid(components):
     bounds = [(max(lo, -limit), min(hi, limit)) for lo, hi in
               (c.grid_bounds() for c in components)]
     lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
-    steps = _BAND_GRID_RESOLUTION * (hi - lo) / min(b - a for a, b in bounds)
+    narrowest = min(b - a for a, b in bounds)
+    steps = _BAND_GRID_RESOLUTION * (hi - lo) / narrowest if narrowest > 0.0 else math.inf
     if not steps <= _BAND_GRID_MAX_N:
         raise GridCoverageError(f"the components' grid bounds differ in width by a factor of "
                                 f"{steps / _BAND_GRID_RESOLUTION:.3g}, over the "

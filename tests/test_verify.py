@@ -745,13 +745,17 @@ def test_ordered_group_with_an_empty_cone_raises_insufficient_retention():
                              rng=np.random.default_rng(SEED))
 
 
-def test_ordered_band_refuses_components_its_quadrature_cannot_resolve():
+@pytest.mark.parametrize("components, factor", [
     # standard deviations 1000 and 0.001: 128 steps across the narrow one's grid
     # bounds would take 1.3e8 points
-    group = MixturePriorGroup(components=(NormalVar(0.0, 1e6), NormalVar(1.0, 1e-6)),
-                              ordered=True)
-    with pytest.raises(GridCoverageError, match="differ in width by a factor of 1e"):
-        mc_conditional_check(group, NormalVar(1.0, 1e-6), epsilon=0.01, n_draws=100_000,
+    ((NormalVar(0.0, 1e6), NormalVar(1.0, 1e-6)), "1e"),
+    # the first one's bounds in log x lie below -700, where they collapse
+    ((Gamma(1e-10, 1e308), Gamma(2.0, 1.0)), "inf"),
+], ids=["scales-apart", "collapsed-bounds"])
+def test_ordered_band_refuses_components_its_quadrature_cannot_resolve(components, factor):
+    group = MixturePriorGroup(components=components, ordered=True)
+    with pytest.raises(GridCoverageError, match=f"differ in width by a factor of {factor}"):
+        mc_conditional_check(group, components[1], epsilon=0.01, n_draws=100_000,
                              rng=np.random.default_rng(SEED))
 
 
