@@ -192,6 +192,10 @@ _BOUND_STEPS = 64
 # rounding of the CDF difference (1.7e-9 at gamma shape 1e6, 1e-15 at 4)
 _SQUEEZE_REL = 1e-6
 _SQUEEZE_ABS = 1e-8
+# the most candidates per draw a band may need; an identical ordered group
+# needs up to K, and a heterogeneous ordered one whose cone holds too little
+# of the product to reach this is refused
+_MAX_RATE = 32
 # rounds of uniform proposals in a window draw before it bisects the CDF
 _WINDOW_ROUNDS = 16
 _BISECTION_STEPS = 64
@@ -389,6 +393,10 @@ def _thinning(group, epsilon):
             raise InsufficientRetentionError("the ordering cone x_1 <= ... <= x_K has no mass "
                                              "on the components' grid")
         rate, inner = bound / cone, (group.components[1:] if group.k > 2 else ())
+    if rate > max(_MAX_RATE, group.k):
+        raise InsufficientRetentionError(
+            f"the band needs {rate:.3g} candidates per draw, over {max(_MAX_RATE, group.k)}: "
+            f"the ordering cone x_1 <= ... <= x_K holds only {cone:.3g} of the product")
     if rate <= 1.0:
         return _Thinning(rate, factors, None, inner, epsilon)
     keep = _keep_mass(group, epsilon) / cone if math.isfinite(epsilon) else 1.0
@@ -448,10 +456,14 @@ def _thinned_chunk(first, thinning, size, rng):
         keep = np.where(settled, t < low, t < mass)
         x, mass, low, high = x[keep], mass[keep], low[keep], high[keep]
         edges, previous = (edges[0][keep], edges[1][keep]), factor
-    # x_2, ..., x_K inside [x, x + width), column by column while in order
+    # x_2, ..., x_K inside [x, x + width), column by column while in order;
+    # a window is cut at the component's grid bound, above which its density
+    # is negligible, so that a draw in a very wide window stays finite
     last = x
     for dist in thinning.inner:
-        drawn = _window_draws(dist, x, x + thinning.width, rng)
+        top = dist.grid_bounds()[1]
+        top = math.exp(min(top, _LOG_X_LIMIT)) if dist.support[0] == 0.0 else top
+        drawn = _window_draws(dist, x, np.maximum(x, np.minimum(x + thinning.width, top)), rng)
         keep = drawn >= last
         x, last = x[keep], drawn[keep]
     return x
@@ -532,11 +544,13 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     union of the components' grid bounds, with at least 4,001 points and 128
     steps across the narrowest component's bounds (components whose bounds
     differ in width by more than a factor of 512 raise
-    :class:`GridCoverageError`); from K = 3 a kept candidate also
-    draws ``x_2..x_K`` inside its window and is kept if they come out in
-    order.  Where the rate passes 1, each stream instead draws its kept count
-    ``N ~ Binomial(n, P_keep)``, ``P_keep = int f_1 q / P(cone)`` with ``q(y)
-    = P(y <= x_2 <= ... <= x_K < y + eps)`` from the same quadrature, then
+    :class:`GridCoverageError`); from K = 3 a kept candidate also draws
+    ``x_2..x_K`` inside its window, cut at each component's upper grid
+    bound, and is kept if they come out in order.  A rate over ``max(32,
+    K)`` candidates per draw raises :class:`InsufficientRetentionError`.
+    Where the rate passes 1, each stream instead draws its kept count ``N ~
+    Binomial(n, P_keep)``, ``P_keep = int f_1 q / P(cone)`` with ``q(y) = P(y
+    <= x_2 <= ... <= x_K < y + eps)`` from the same quadrature, then
     candidates until ``N`` are kept, and cuts the pool at ``N``: the count is
     exact up to the quadrature's error.  Seeded reports of heterogeneous
     ordered groups, and of identical ordered ones past rate 1, changed when

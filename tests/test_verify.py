@@ -546,6 +546,9 @@ _ORDERED_LAW_CASES = {
     "heterogeneous-k3": (MixturePriorGroup(components=_K3_COMPONENTS, ordered=True), 0.2),
     # past rate 1 (1.19): the kept count comes from the windows' inner quadrature
     "heterogeneous-k3-wide": (MixturePriorGroup(components=_K3_COMPONENTS, ordered=True), 1.0),
+    # every row kept: x_2, x_3 are drawn in windows cut at their grid bounds
+    "heterogeneous-k3-unbounded": (MixturePriorGroup(components=_K3_COMPONENTS, ordered=True),
+                                   math.inf),
     "wide-identical-triple": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3,
                                                 ordered=True), 2.0),
 }
@@ -566,7 +569,8 @@ def test_ordered_band_keeps_the_law_of_sample_ordered_rows(group, epsilon):
     direct = np.concatenate([r[r[:, -1] - r[:, 0] < epsilon, 0] for r in rows])
     total = blocks * m
     p = (thinned.size + direct.size) / (2 * total)
-    assert abs(thinned.size - direct.size) < 4.0 * math.sqrt(2.0 * total * p * (1.0 - p)), \
+    # (an unbounded band keeps every row on both sides: a difference of 0)
+    assert abs(thinned.size - direct.size) <= 4.0 * math.sqrt(2.0 * total * p * (1.0 - p)), \
         (thinned.size, direct.size)
     critical = ks_critical_value(thinned.size * direct.size // (thinned.size + direct.size),
                                  alpha=0.001)
@@ -736,12 +740,17 @@ def test_unbounded_band_keeps_every_row_without_a_cdf_at_infinity(ordered, monke
     assert report.n_retained == 100_000
 
 
-def test_ordered_group_with_an_empty_cone_raises_insufficient_retention():
+@pytest.mark.parametrize("components, epsilon, match", [
     # x_1 <= x_2 has probability Phi(-10 / 0.014) = 0 in doubles: no rate exists
-    group = MixturePriorGroup(components=(NormalPrec(10.0, 1e4), NormalPrec(0.0, 1e4)),
-                              ordered=True)
-    with pytest.raises(InsufficientRetentionError, match="cone"):
-        mc_conditional_check(group, NormalPrec(5.0, 2e4), epsilon=0.05, n_draws=100_000,
+    ((NormalPrec(10.0, 1e4), NormalPrec(0.0, 1e4)), 0.05, "has no mass"),
+    # Phi(-4 / sqrt(2)) = 0.0023 of the product in the cone: 295 candidates per draw
+    ((NormalVar(4.0, 1.0), NormalVar(0.0, 1.0)), 2.0, "295 candidates per draw, over 32"),
+], ids=["empty", "too-small"])
+def test_ordered_group_with_too_little_cone_raises_insufficient_retention(components, epsilon,
+                                                                          match):
+    group = MixturePriorGroup(components=components, ordered=True)
+    with pytest.raises(InsufficientRetentionError, match=match):
+        mc_conditional_check(group, components[1], epsilon=epsilon, n_draws=100_000,
                              rng=np.random.default_rng(SEED))
 
 
