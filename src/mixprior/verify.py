@@ -200,12 +200,13 @@ _MAX_RATE = 32
 _WINDOW_ROUNDS = 16
 _BISECTION_STEPS = 64
 # steps of the band's quadrature across the narrowest component's grid
-# bounds, the most points it may take (2 MiB an array), its steps inside one
-# window, and the windows it takes at once (0.5 MiB an array)
+# bounds, the most points it may take (0.5 MiB an array), its fewest and
+# most steps inside one window, and the points of a block of windows
 _BAND_GRID_RESOLUTION = 128
 _BAND_GRID_MAX_N = 1 << 16
 _INNER_STEPS = 64
-_INNER_BLOCK = 1024
+_INNER_MAX_STEPS = 1024
+_INNER_POINTS = 1 << 16
 # the kept-count route draws chunks of a KS chunk's size, up to 256 per
 # wave: with the squeeze, a chunk of _CHUNK would send only a few hundred
 # points to each CDF call, whose fixed cost would then dominate
@@ -322,9 +323,13 @@ def _cone_mass(components):
 
 def _keep_mass(group, epsilon):
     # int f_1 q, q(y) = P(y <= x_2 <= ... <= x_K < y + eps) for independent
-    # x_j, on the grid: q is a window mass at K = 2, a power of one for an
-    # identical group, and otherwise the cone recursion run inside each
-    # window on _INNER_STEPS steps, up to the last grid point
+    # x_j, on the grid: q is a window mass at K = 2 and a power of one for an
+    # identical group.  Otherwise, where y + eps reaches the last grid point,
+    # q is the upper cone P(y <= x_2 <= ... <= x_K), from the cone recursion
+    # run down from the top; below, the recursion runs inside each window,
+    # on _INNER_STEPS steps per eighth of the narrowest of x_2..x_K's grid
+    # bounds (at least _INNER_STEPS, at most _INNER_MAX_STEPS), in blocks of
+    # about _INNER_POINTS points
     first, *others = group.components
     us, xs, log_jacobian = _grid(group.components)
     with np.errstate(all="ignore"):
@@ -332,21 +337,30 @@ def _keep_mass(group, epsilon):
             q = _window_mass(others[0], xs, xs + epsilon) ** len(others)
             q /= math.factorial(len(others))
         else:
-            q = np.concatenate([_window_cone_mass(others, y, xs[-1], epsilon)
-                                for y in np.array_split(xs, -(-xs.size // _INNER_BLOCK))])
+            q = 1.0 - np.asarray(others[-1].cdf(xs), dtype=float)
+            for dist in reversed(others[:-1]):
+                g = np.exp(dist.log_pdf(xs) + log_jacobian) * q
+                q = _cumulative(g[::-1], us[1] - us[0])[::-1]
+            to_x = math.exp if first.support[0] == 0.0 else float
+            eighth = min(to_x(min(hi, _LOG_X_LIMIT)) - to_x(max(lo, -_LOG_X_LIMIT))
+                         for lo, hi in (d.grid_bounds() for d in others)) / 8.0
+            steps = int(min(max(math.ceil(_INNER_STEPS * epsilon / eighth), _INNER_STEPS),
+                            _INNER_MAX_STEPS))
+            below = int(np.searchsorted(xs + epsilon, xs[-1]))
+            for start in range(0, below, max(1, _INNER_POINTS // steps)):
+                y = xs[start:min(below, start + max(1, _INNER_POINTS // steps))]
+                q[start:start + y.size] = _window_cone_mass(others, y, epsilon, steps)
         return float(np.trapezoid(np.exp(first.log_pdf(xs) + log_jacobian) * q, us))
 
 
-def _window_cone_mass(others, y, top, epsilon):
-    # P(y <= x_2 <= ... <= x_K < y + eps) at each y, by the cone recursion on
-    # _INNER_STEPS steps of the window, cut at `top`
-    width = np.minimum(y + epsilon, top) - y
-    s = y[:, None] + width[:, None] * np.linspace(0.0, 1.0, _INNER_STEPS + 1)
-    h = width[:, None] / _INNER_STEPS
+def _window_cone_mass(others, y, width, steps):
+    # P(y <= x_2 <= ... <= x_K < y + width) at each y, by the cone recursion
+    # on `steps` steps of the window
+    s = y[:, None] + width * np.linspace(0.0, 1.0, steps + 1)
     q = np.ones(s.shape)
     for dist in others:
-        q = _cumulative(_density(dist, s) * q, h)
-    return q[:, -1].copy()  # not a view that would keep the block alive
+        q = _cumulative(_density(dist, s) * q, width / steps)
+    return q[:, -1]
 
 
 class _Thinning(NamedTuple):
