@@ -592,8 +592,13 @@ def test_every_group_is_thinned():
     pair = verify._thinning(MixturePriorGroup(components=_ORDERED_BAND, ordered=True), 0.02)
     assert pair.rate > 1.0 and pair.keep == pytest.approx(0.1505334, rel=1e-6)
     assert not pair.inner
-    triple = verify._thinning(MixturePriorGroup(components=_K3_COMPONENTS, ordered=True), 0.05)
+    ordered_triple = MixturePriorGroup(components=_K3_COMPONENTS, ordered=True)
+    triple = verify._thinning(ordered_triple, 0.05)
     assert triple.keep is None and triple.inner == _K3_COMPONENTS[1:]
+    # windows past the grid hold the upper cone, so a band wider than the
+    # components keeps every row of the cone
+    assert verify._keep_mass(ordered_triple, 1e3) == pytest.approx(
+        verify._cone_mass(_K3_COMPONENTS), rel=1e-10)
 
 
 @pytest.mark.parametrize("group", [
