@@ -321,21 +321,23 @@ def _cone_mass(components):
     return float(g[-1])
 
 
-def _keep_mass(group, epsilon):
-    # int f_1 q, q(y) = P(y <= x_2 <= ... <= x_K < y + eps) for independent
-    # x_j, on the grid: q is a window mass at K = 2 and a power of one for an
-    # identical group.  Otherwise, where y + eps reaches the last grid point,
-    # q is the upper cone P(y <= x_2 <= ... <= x_K), from the cone recursion
-    # run down from the top; below, the recursion runs inside each window,
-    # on _INNER_STEPS steps per eighth of the narrowest of x_2..x_K's grid
-    # bounds (at least _INNER_STEPS, at most _INNER_MAX_STEPS), in blocks of
-    # about _INNER_POINTS points
+def _keep_probability(group, epsilon):
+    # P_keep, the share of an ordered group's rows the band keeps: int f_1 q
+    # / P(cone) on the grid, q(y) = P(y <= x_2 <= ... <= x_K < y + eps) for
+    # independent x_j.  An identical group's sorted rows give K int f W^(K-1)
+    # at once; at K = 2, q is a window mass.  From K = 3, where y + eps
+    # reaches the last grid point, q is the upper cone P(y <= x_2 <= ... <=
+    # x_K), from the cone recursion run down from the top; below, the
+    # recursion runs inside each window, on _INNER_STEPS steps per eighth of
+    # the narrowest of x_2..x_K's grid bounds (at least _INNER_STEPS, at most
+    # _INNER_MAX_STEPS), in blocks of about _INNER_POINTS points
     first, *others = group.components
     us, xs, log_jacobian = _grid(group.components)
     with np.errstate(all="ignore"):
-        if group.identical or len(others) == 1:
-            q = _window_mass(others[0], xs, xs + epsilon) ** len(others)
-            q /= math.factorial(len(others))
+        if group.identical:
+            q, cone = group.k * _window_mass(first, xs, xs + epsilon) ** (group.k - 1), 1.0
+        elif len(others) == 1:
+            q, cone = _window_mass(others[0], xs, xs + epsilon), _cone_mass(group.components)
         else:
             q = 1.0 - np.asarray(others[-1].cdf(xs), dtype=float)
             for dist in reversed(others[:-1]):
@@ -350,7 +352,8 @@ def _keep_mass(group, epsilon):
             for start in range(0, below, max(1, _INNER_POINTS // steps)):
                 y = xs[start:min(below, start + max(1, _INNER_POINTS // steps))]
                 q[start:start + y.size] = _window_cone_mass(others, y, epsilon, steps)
-        return float(np.trapezoid(np.exp(first.log_pdf(xs) + log_jacobian) * q, us))
+            cone = _cone_mass(group.components)
+        return float(np.trapezoid(np.exp(first.log_pdf(xs) + log_jacobian) * q, us)) / cone
 
 
 def _window_cone_mass(others, y, width, steps):
@@ -396,9 +399,8 @@ def _thinning(group, epsilon):
         return _Thinning(bound, factors)
     if group.identical:
         # the minimum y of a sorted row whose others lie in [y, y + epsilon)
-        # has density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y); the
-        # cone of K exchangeable draws has mass 1 / K!
-        rate, inner, cone = group.k * bound, (), 1.0 / math.factorial(group.k)
+        # has density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y)
+        rate, inner = group.k * bound, ()
     else:
         # a row of the cone x_1 <= ... <= x_K stands for 1 / P(cone) rows of
         # the product; from K = 3 the others must also come out in order
@@ -407,13 +409,13 @@ def _thinning(group, epsilon):
             raise InsufficientRetentionError("the ordering cone x_1 <= ... <= x_K has no mass "
                                              "on the components' grid")
         rate, inner = bound / cone, (group.components[1:] if group.k > 2 else ())
-    if rate > max(_MAX_RATE, group.k):
-        raise InsufficientRetentionError(
-            f"the band needs {rate:.3g} candidates per draw, over {max(_MAX_RATE, group.k)}: "
-            f"the ordering cone x_1 <= ... <= x_K holds only {cone:.3g} of the product")
+        if rate > max(_MAX_RATE, group.k):
+            raise InsufficientRetentionError(
+                f"the band needs {rate:.3g} candidates per draw, over {max(_MAX_RATE, group.k)}: "
+                f"the ordering cone x_1 <= ... <= x_K holds only {cone:.3g} of the product")
     if rate <= 1.0:
         return _Thinning(rate, factors, None, inner, epsilon)
-    keep = _keep_mass(group, epsilon) / cone if math.isfinite(epsilon) else 1.0
+    keep = _keep_probability(group, epsilon) if math.isfinite(epsilon) else 1.0
     return _Thinning(rate, factors, min(max(keep, 0.0), 1.0), inner, epsilon)
 
 

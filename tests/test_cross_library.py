@@ -223,7 +223,7 @@ def test_ordered_band_quadrature_matches_scipy(components, epsilon, digits):
 
     group = MixturePriorGroup(components=tuple(components), ordered=True)
     cone = verify._cone_mass(group.components)
-    keep = verify._keep_mass(group, epsilon) / cone
+    keep = verify._keep_probability(group, epsilon)
     first, *others = [_scipy_dist(d) for d in components]
     log_x = components[0].support[0] == 0.0
 

@@ -597,8 +597,10 @@ def test_every_group_is_thinned():
     assert triple.keep is None and triple.inner == _K3_COMPONENTS[1:]
     # windows past the grid hold the upper cone, so a band wider than the
     # components keeps every row of the cone
-    assert verify._keep_mass(ordered_triple, 1e3) == pytest.approx(
-        verify._cone_mass(_K3_COMPONENTS), rel=1e-10)
+    assert verify._keep_probability(ordered_triple, 1e3) == pytest.approx(1.0, rel=1e-10)
+    # an identical group past the largest factorial a double holds
+    wide = MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 200, ordered=True)
+    assert verify._thinning(wide, 30.0).keep == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("group", [
