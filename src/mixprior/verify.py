@@ -300,6 +300,14 @@ def _grid(components):
     return us, (np.exp(us) if log_x else us), (us if log_x else 0.0)
 
 
+def _x_bounds(dist):
+    # a component's grid oracle bounds in x, within the double range
+    lo, hi = dist.grid_bounds()
+    if dist.support[0] == 0.0:
+        return math.exp(max(lo, -_LOG_X_LIMIT)), math.exp(min(hi, _LOG_X_LIMIT))
+    return lo, hi
+
+
 def _cumulative(g, h):
     # the integral of g from the first point of the last axis to each point:
     # the trapezoid rule with its Euler-Maclaurin end correction, error O(h^4)
@@ -343,9 +351,7 @@ def _keep_probability(group, epsilon):
             for dist in reversed(others[:-1]):
                 g = np.exp(dist.log_pdf(xs) + log_jacobian) * q
                 q = _cumulative(g[::-1], us[1] - us[0])[::-1]
-            to_x = math.exp if first.support[0] == 0.0 else float
-            eighth = min(to_x(min(hi, _LOG_X_LIMIT)) - to_x(max(lo, -_LOG_X_LIMIT))
-                         for lo, hi in (d.grid_bounds() for d in others)) / 8.0
+            eighth = min(hi - lo for lo, hi in map(_x_bounds, others)) / 8.0
             steps = int(min(max(math.ceil(_INNER_STEPS * epsilon / eighth), _INNER_STEPS),
                             _INNER_MAX_STEPS))
             below = int(np.searchsorted(xs + epsilon, xs[-1]))
@@ -477,8 +483,7 @@ def _thinned_chunk(first, thinning, size, rng):
     # is negligible, so that a draw in a very wide window stays finite
     last = x
     for dist in thinning.inner:
-        top = dist.grid_bounds()[1]
-        top = math.exp(min(top, _LOG_X_LIMIT)) if dist.support[0] == 0.0 else top
+        top = _x_bounds(dist)[1]
         drawn = _window_draws(dist, x, np.maximum(x, np.minimum(x + thinning.width, top)), rng)
         keep = drawn >= last
         x, last = x[keep], drawn[keep]
