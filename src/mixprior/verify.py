@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from functools import partial
 from typing import NamedTuple
 
@@ -199,11 +200,10 @@ _MAX_RATE = 32
 # rounds of uniform proposals in a window draw before it bisects the CDF
 _WINDOW_ROUNDS = 16
 _BISECTION_STEPS = 64
-# steps of the band's quadrature across the narrowest component's grid
-# bounds, the most points it may take (0.5 MiB an array), its fewest and
-# most steps inside one window, and the points of a block of windows
+# steps of the band's quadrature across each component's grid bounds, then
+# the fewest and most steps inside one window, and the points of a block of
+# windows
 _BAND_GRID_RESOLUTION = 128
-_BAND_GRID_MAX_N = 1 << 16
 _INNER_STEPS = 64
 _INNER_MAX_STEPS = 1024
 _INNER_POINTS = 1 << 16
@@ -220,16 +220,20 @@ except AttributeError:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _window_mass(dist, lo, hi):
-    # F(hi) - F(lo) from one CDF call on both edges; an infinite edge (and
-    # the nan of inf - inf) takes its limit, 0 or 1, without a call
-    edges = np.concatenate([lo, hi])
-    finite = np.isfinite(edges)
+def _cdf(dist, x):
+    # F(x) in one CDF call; an infinite x (and the nan of inf - inf) takes
+    # its limit, 0 or 1, without a call
+    finite = np.isfinite(x)
     if finite.all():
-        cdf = dist.cdf(edges)
-    else:
-        cdf = (edges > 0.0).astype(float)
-        cdf[finite] = dist.cdf(edges[finite])
+        return dist.cdf(x)
+    cdf = (x > 0.0).astype(float)
+    cdf[finite] = dist.cdf(x[finite])
+    return cdf
+
+
+def _window_mass(dist, lo, hi):
+    # F(hi) - F(lo) from one CDF call on both edges
+    cdf = _cdf(dist, np.concatenate([lo, hi]))
     return cdf[lo.size:] - cdf[:lo.size]
 
 
@@ -280,77 +284,117 @@ def _squeeze(dist, lo, hi):
     return np.where(np.isnan(low), -np.inf, low), np.where(np.isnan(high), np.inf, high)
 
 
-def _grid(components):
-    # the grid oracle's coordinate over the union of the components' bounds,
-    # with at least _BAND_GRID_RESOLUTION steps across the narrowest
-    # component's bounds: the points u, their x and the log of dx/du
-    log_x = components[0].support[0] == 0.0
-    limit = _LOG_X_LIMIT if log_x else math.inf
-    bounds = [(max(lo, -limit), min(hi, limit)) for lo, hi in
-              (c.grid_bounds() for c in components)]
-    lo, hi = min(b[0] for b in bounds), max(b[1] for b in bounds)
-    narrowest = min(b - a for a, b in bounds)
-    steps = _BAND_GRID_RESOLUTION * (hi - lo) / narrowest if narrowest > 0.0 else math.inf
-    if not steps <= _BAND_GRID_MAX_N:
-        raise GridCoverageError(f"the components' grid bounds differ in width by a factor of "
-                                f"{steps / _BAND_GRID_RESOLUTION:.3g}, over the "
-                                f"{_BAND_GRID_MAX_N // _BAND_GRID_RESOLUTION} the band's "
-                                "quadrature resolves")
-    us = np.linspace(lo, hi, max(DEFAULT_GRID_N, math.ceil(steps) + 1))
-    return us, (np.exp(us) if log_x else us), (us if log_x else 0.0)
-
-
-def _x_bounds(dist):
-    # a component's grid oracle bounds in x, within the double range
+def _u_bounds(dist):
+    # a component's grid oracle bounds in the grid coordinate (u = log x for
+    # the positive families), inside the double range of x
     lo, hi = dist.grid_bounds()
     if dist.support[0] == 0.0:
-        return math.exp(max(lo, -_LOG_X_LIMIT)), math.exp(min(hi, _LOG_X_LIMIT))
+        return max(lo, -_LOG_X_LIMIT), min(hi, _LOG_X_LIMIT)
     return lo, hi
 
 
-def _cumulative(g, h):
-    # the integral of g from the first point of the last axis to each point:
-    # the trapezoid rule with its Euler-Maclaurin end correction, error O(h^4)
-    # with the slope per step from fourth-order differences (second at the ends)
+def _x_bounds(dist):
+    # the same bounds in x
+    lo, hi = _u_bounds(dist)
+    return (math.exp(lo), math.exp(hi)) if dist.support[0] == 0.0 else (lo, hi)
+
+
+def _grid(components, epsilon=0.0):
+    # the grid oracle's coordinate over the union of the components' bounds:
+    # the points u, their x and the log of dx/du.  Between consecutive bounds
+    # the points are uniform, at most 1/4000 of the union apart and
+    # 1/_BAND_GRID_RESOLUTION of every span that holds them: each component's
+    # bounds, and those of x_2..x_K moved down by epsilon, where a window
+    # [y, y + epsilon) meets them.  So each component is resolved on its own
+    # bounds whatever the others' widths.  A stretch shorter than its step
+    # joins the one before it (a first one takes the next one's step), so
+    # that neighbouring steps differ at most as the spans' widths do; bounds
+    # that collapse outside the double range add no points
+    log_x = components[0].support[0] == 0.0
+    bounds = {b for b in map(_u_bounds, set(components)) if b[0] < b[1]}
+    if not bounds:
+        raise GridCoverageError("every component's grid bounds collapse outside the double range")
+    first, last = min(b[0] for b in bounds), max(b[1] for b in bounds)
+    if 0.0 < epsilon < math.inf:
+        for lo, hi in map(_x_bounds, set(components[1:])):
+            lo, hi = lo - epsilon, hi - epsilon
+            if log_x:
+                lo, hi = (math.log(x) if x > 0.0 else -math.inf for x in (lo, hi))
+            bounds.add((max(lo, first), min(hi, last)))
+    bounds = sorted(b for b in bounds if b[0] < b[1])
+    edges = np.unique(bounds)
+    steps = np.full(edges.size - 1, (edges[-1] - edges[0]) / (DEFAULT_GRID_N - 1))
+    for lo, hi in bounds:
+        held = slice(np.searchsorted(edges, lo), np.searchsorted(edges, hi))
+        steps[held] = np.minimum(steps[held], (hi - lo) / _BAND_GRID_RESOLUTION)
+    pieces = []
+    for lo, hi, step in zip(edges[:-1], edges[1:], steps):
+        if pieces and (step == pieces[-1][2] or hi - lo < step):
+            pieces[-1][1] = hi
+        elif pieces and pieces[-1][1] - pieces[-1][0] < pieces[-1][2]:
+            pieces[-1][1:] = [hi, step]
+        else:
+            pieces.append([lo, hi, step])
+    # the step is a bound: rounding in the division must not add a point
+    us = np.concatenate([edges[:1]] + [
+        np.linspace(lo, hi, math.ceil((hi - lo) / step * (1.0 - 1e-12)) + 1)[1:]
+        for lo, hi, step in pieces])
+    return us, (np.exp(us) if log_x else us), (us if log_x else 0.0)
+
+
+def _cumulative(g, us):
+    # the integral of g over the last axis, at points us, from the first
+    # point to each: per step the trapezoid rule with its Hermite correction
+    # h^2 / 12 (g'(a) - g'(b)), slopes from fourth-order differences where
+    # five points are evenly spaced, else second-order ones.  On a uniform
+    # stretch the corrections add up to the Euler-Maclaurin end correction,
+    # so the error is O(h^4) with the step h of each stretch
+    h = np.diff(us)
+    slope = np.gradient(g, us, axis=-1, edge_order=2)
+    spans = np.stack([h[:-3], h[1:-2], h[2:-1], h[3:]])
+    even = np.max(spans, axis=0) <= np.min(spans, axis=0) * (1.0 + 1e-6)
+    fourth = ((8.0 * (g[..., 3:-1] - g[..., 1:-3]) - (g[..., 4:] - g[..., :-4]))
+              / (3.0 * np.sum(spans, axis=0)))
+    slope[..., 2:-2] = np.where(even, fourth, slope[..., 2:-2])
     out = np.zeros(g.shape)
-    np.cumsum(0.5 * h * (g[..., 1:] + g[..., :-1]), axis=-1, out=out[..., 1:])
-    slope = np.gradient(g, axis=-1, edge_order=2)
-    slope[..., 2:-2] = (8.0 * (g[..., 3:-1] - g[..., 1:-3]) - (g[..., 4:] - g[..., :-4])) / 12.0
-    return out - (h / 12.0) * (slope - slope[..., :1])
+    np.cumsum(0.5 * h * (g[..., 1:] + g[..., :-1])
+              + (h * h / 12.0) * (slope[..., :-1] - slope[..., 1:]), axis=-1, out=out[..., 1:])
+    return out
 
 
-def _cone_mass(components):
+def _cone_mass(grid, components):
     # P(x_1 <= ... <= x_K) by the recursion G_1 = F_1, G_j = int f_j G_(j-1)
-    us, xs, log_jacobian = _grid(components)
+    us, xs, log_jacobian = grid
     with np.errstate(all="ignore"):
         g = np.asarray(components[0].cdf(xs), dtype=float)
         for dist in components[1:]:
-            g = _cumulative(np.exp(dist.log_pdf(xs) + log_jacobian) * g, us[1] - us[0])
+            g = _cumulative(np.exp(dist.log_pdf(xs) + log_jacobian) * g, us)
     return float(g[-1])
 
 
-def _keep_probability(group, epsilon):
+def _keep_probability(grid, group, epsilon, cone):
     # P_keep, the share of an ordered group's rows the band keeps: int f_1 q
     # / P(cone) on the grid, q(y) = P(y <= x_2 <= ... <= x_K < y + eps) for
-    # independent x_j.  An identical group's sorted rows give K int f W^(K-1)
-    # at once; at K = 2, q is a window mass.  From K = 3, where y + eps
-    # reaches the last grid point, q is the upper cone P(y <= x_2 <= ... <=
-    # x_K), from the cone recursion run down from the top; below, the
-    # recursion runs inside each window, on _INNER_STEPS steps per eighth of
-    # the narrowest of x_2..x_K's grid bounds (at least _INNER_STEPS, at most
-    # _INNER_MAX_STEPS), in blocks of about _INNER_POINTS points
+    # independent x_j, and P(cone) = 1 for an identical group, whose sorted
+    # rows give K int f W^(K-1) at once; at K = 2, q is a window mass.  From
+    # K = 3, where y + eps reaches the last grid point, q is the upper cone
+    # P(y <= x_2 <= ... <= x_K), from the cone recursion run down from the
+    # top; below, the recursion runs inside each window, on _INNER_STEPS
+    # steps per eighth of the narrowest of x_2..x_K's grid bounds (at least
+    # _INNER_STEPS, at most _INNER_MAX_STEPS), in blocks of about
+    # _INNER_POINTS points
     first, *others = group.components
-    us, xs, log_jacobian = _grid(group.components)
+    us, xs, log_jacobian = grid
     with np.errstate(all="ignore"):
         if group.identical:
-            q, cone = group.k * _window_mass(first, xs, xs + epsilon) ** (group.k - 1), 1.0
+            q = group.k * _window_mass(first, xs, xs + epsilon) ** (group.k - 1)
         elif len(others) == 1:
-            q, cone = _window_mass(others[0], xs, xs + epsilon), _cone_mass(group.components)
+            q = _window_mass(others[0], xs, xs + epsilon)
         else:
             q = 1.0 - np.asarray(others[-1].cdf(xs), dtype=float)
             for dist in reversed(others[:-1]):
                 g = np.exp(dist.log_pdf(xs) + log_jacobian) * q
-                q = _cumulative(g[::-1], us[1] - us[0])[::-1]
+                q = _cumulative(g[::-1], -us[::-1])[::-1]
             eighth = min(hi - lo for lo, hi in map(_x_bounds, others)) / 8.0
             steps = int(min(max(math.ceil(_INNER_STEPS * epsilon / eighth), _INNER_STEPS),
                             _INNER_MAX_STEPS))
@@ -358,18 +402,71 @@ def _keep_probability(group, epsilon):
             for start in range(0, below, max(1, _INNER_POINTS // steps)):
                 y = xs[start:min(below, start + max(1, _INNER_POINTS // steps))]
                 q[start:start + y.size] = _window_cone_mass(others, y, epsilon, steps)
-            cone = _cone_mass(group.components)
-        return float(np.trapezoid(np.exp(first.log_pdf(xs) + log_jacobian) * q, us)) / cone
+        return float(_cumulative(np.exp(first.log_pdf(xs) + log_jacobian) * q, us)[-1]) / cone
 
 
 def _window_cone_mass(others, y, width, steps):
     # P(y <= x_2 <= ... <= x_K < y + width) at each y, by the cone recursion
     # on `steps` steps of the window
-    s = y[:, None] + width * np.linspace(0.0, 1.0, steps + 1)
+    t = width * np.linspace(0.0, 1.0, steps + 1)
+    s = y[:, None] + t
     q = np.ones(s.shape)
     for dist in others:
-        q = _cumulative(_density(dist, s) * q, width / steps)
+        q = _cumulative(_density(dist, s) * q, t)
     return q[:, -1]
+
+
+def _multiplicities(factors):
+    # each distinct window (F, lo, hi) of the factors, with its count
+    return Counter((dist, lo, hi) for dist, _, lo, hi in factors).items()
+
+
+def _envelope(first, factors, xs):
+    # on each cell [a, b] between neighbouring grid points: the greatest f_1,
+    # and bounds low <= prod_j W_j(y) <= high for y in the cell, from
+    # F(a + hi) - F(b + lo) <= W(y) = F(y + hi) - F(y + lo) <= F(b + hi) -
+    # F(a + lo) per factor, with slacks past the rounding of the CDF
+    # difference and of the log density.  Returns the cells' starts, widths,
+    # cumulative masses of f_1 high, greatest f_1, low and high
+    a, b = xs[:-1], xs[1:]
+    with np.errstate(all="ignore"):
+        greatest = _density_range(first, a, b)[1] * (1.0 + _SQUEEZE_REL)
+    low, high = np.ones(a.size), np.ones(a.size)
+    for (dist, lo, hi), m in _multiplicities(factors):
+        f_lo, f_hi = _cdf(dist, xs + lo), _cdf(dist, xs + hi)
+        low *= np.maximum(f_hi[:-1] - f_lo[1:] - _SQUEEZE_ABS, 0.0) ** m
+        high *= (f_hi[1:] - f_lo[:-1] + _SQUEEZE_ABS) ** m
+    return a, b - a, np.cumsum(greatest * (b - a) * high), greatest, low, high
+
+
+def _enveloped_candidates(first, factors, envelope, size, rng):
+    # the kept ones of `size` candidates from the envelope: a cell in
+    # proportion to its mass and x uniform in it, kept with f_1(x) over the
+    # cell's greatest f_1, then with prod_j W_j(x) over the cell's high in
+    # one test.  The cell's low and the density squeezes settle that test
+    # where they can, and only the rest reach the CDF
+    starts, widths, cumulative, greatest, low, high = envelope
+    cells = np.searchsorted(cumulative, rng.uniform(size=size) * cumulative[-1], side="right")
+    x = starts[cells] + widths[cells] * rng.uniform(size=size)
+    with np.errstate(all="ignore"):
+        keep = rng.uniform(size=size) * greatest[cells] < _density(first, x)
+    x, cells = x[keep], cells[keep]
+    t = rng.uniform(size=x.size) * high[cells]
+    lower, upper = np.zeros(x.size), np.full(x.size, np.inf)
+    if math.isfinite(factors[0][3] - factors[0][2]):  # an infinite window has no squeeze
+        lower, upper = np.ones(x.size), np.ones(x.size)
+        for (dist, lo, hi), m in _multiplicities(factors):
+            squeeze = _squeeze(dist, x + lo, x + hi)
+            lower *= np.maximum(squeeze[0], 0.0) ** m
+            upper *= squeeze[1] ** m
+    lower = np.maximum(lower, low[cells])
+    open_ = np.flatnonzero((lower <= t) & (t < upper))
+    mass = np.ones(open_.size)
+    for (dist, lo, hi), m in _multiplicities(factors):
+        mass *= _window_mass(dist, x[open_] + lo, x[open_] + hi) ** m
+    keep = t < lower
+    keep[open_] = t[open_] < mass
+    return x[keep]
 
 
 class _Thinning(NamedTuple):
@@ -381,8 +478,10 @@ class _Thinning(NamedTuple):
     ``c`` a bound on the factor's window masses.  ``inner`` components are
     then drawn inside ``[x, x + width)`` and the candidate is kept if they
     come out in order.  ``keep`` is None where each stream draws a binomial
-    count of candidates at ``rate``; else ``rate`` passed 1, and each stream
-    draws its kept count at ``keep`` and candidates until it is reached.
+    count of candidates at ``rate``.  Else ``rate`` passed 1: each stream
+    draws its kept count at ``keep`` and candidates until it is reached, and
+    the candidates come from an ``envelope`` on the quadrature's grid,
+    whose cells bound the window masses' product each on its own.
     """
 
     rate: float
@@ -390,6 +489,7 @@ class _Thinning(NamedTuple):
     keep: float | None = None
     inner: tuple = ()
     width: float = 0.0
+    envelope: tuple = ()
 
 
 def _thinning(group, epsilon):
@@ -406,23 +506,34 @@ def _thinning(group, epsilon):
     if group.identical:
         # the minimum y of a sorted row whose others lie in [y, y + epsilon)
         # has density K f(y) W(y)^(K-1), W(y) = F(y + epsilon) - F(y)
-        rate, inner = group.k * bound, ()
+        if group.k * bound <= 1.0:
+            return _Thinning(group.k * bound, factors)
+        grid, cone, inner, rows = _grid(group.components[:1], epsilon), 1.0, (), group.k
     else:
         # a row of the cone x_1 <= ... <= x_K stands for 1 / P(cone) rows of
         # the product; from K = 3 the others must also come out in order
-        cone = _cone_mass(group.components)
+        grid = _grid(group.components, epsilon)
+        cone = _cone_mass(grid, group.components)
         if not cone > 0.0:
             raise InsufficientRetentionError("the ordering cone x_1 <= ... <= x_K has no mass "
                                              "on the components' grid")
-        rate, inner = bound / cone, (group.components[1:] if group.k > 2 else ())
+        rate, inner, rows = bound / cone, (others if group.k > 2 else ()), 1
         if rate > max(_MAX_RATE, group.k):
             raise InsufficientRetentionError(
                 f"the band needs {rate:.3g} candidates per draw, over {max(_MAX_RATE, group.k)}: "
                 f"the ordering cone x_1 <= ... <= x_K holds only {cone:.3g} of the product")
-    if rate <= 1.0:
-        return _Thinning(rate, factors, None, inner, epsilon)
-    keep = _keep_probability(group, epsilon) if math.isfinite(epsilon) else 1.0
-    return _Thinning(rate, factors, min(max(keep, 0.0), 1.0), inner, epsilon)
+        if rate <= 1.0:
+            return _Thinning(rate, factors, None, inner, epsilon)
+    # a candidate from the envelope stands for 1 / (K' total) of a row, the
+    # share of the product's rows whose first coordinate it is (K' = K for
+    # the minimum of an identical group)
+    keep = _keep_probability(grid, group, epsilon, cone) if math.isfinite(epsilon) else 1.0
+    envelope = _envelope(group.components[0], factors, grid[1])
+    total = envelope[2][-1]
+    if not 0.0 < total < math.inf:
+        raise GridCoverageError(f"the band's bound on the components' grid has mass {total:g}")
+    return _Thinning(rows * total / cone, factors, min(max(keep, 0.0), 1.0), inner, epsilon,
+                     envelope)
 
 
 def _window_draws(dist, lo, hi, rng):
@@ -462,9 +573,12 @@ def _thinned_chunk(first, thinning, size, rng):
     # test it can: only the candidates whose uniform lies between its bounds
     # reach the CDF, and a factor equal to the one before it reuses their
     # window masses and its bounds
-    x = first.sample(rng, size=size)
+    if thinning.envelope:
+        x = _enveloped_candidates(first, thinning.factors, thinning.envelope, size, rng)
+    else:
+        x = first.sample(rng, size=size)
     previous = None
-    for factor in thinning.factors:
+    for factor in () if thinning.envelope else thinning.factors:
         dist, c, lo, hi = factor
         if factor != previous:
             edges = (x + lo, x + hi)

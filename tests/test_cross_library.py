@@ -197,9 +197,12 @@ CONE_CASES = {
                          (0.9213504, 0.001132)),
     "gamma-triple": ([Gamma(2.0, 1.0), Gamma(3.0, 2.0), Gamma(4.0, 1.5)], 0.05,
                      (0.26742, 0.000309)),
-    # standard deviations 10 and 0.1: the grid refines to resolve the narrow one
+    # standard deviations 10 and 0.1: the grid refines where the narrow one lies
     "normal-pair-of-two-scales": ([NormalVar(0.0, 100.0), NormalVar(1.0, 0.01)], 0.05,
                                   (0.5398259, 0.0036774)),
+    # standard deviations 1000 and 0.001: each is resolved on its own grid bounds
+    "normal-pair-far-apart-scales": ([NormalVar(0.0, 1e6), NormalVar(1.0, 1e-6)], 100.0,
+                                     (0.5003989, 0.0795961)),
 }
 
 
@@ -222,8 +225,9 @@ def test_ordered_band_quadrature_matches_scipy(components, epsilon, digits):
     from mixprior import verify
 
     group = MixturePriorGroup(components=tuple(components), ordered=True)
-    cone = verify._cone_mass(group.components)
-    keep = verify._keep_probability(group, epsilon)
+    grid = verify._grid(group.components, epsilon)
+    cone = verify._cone_mass(grid, group.components)
+    keep = verify._keep_probability(grid, group, epsilon, cone)
     first, *others = [_scipy_dist(d) for d in components]
     log_x = components[0].support[0] == 0.0
 

@@ -551,6 +551,9 @@ _ORDERED_LAW_CASES = {
                                    math.inf),
     "wide-identical-triple": (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3,
                                                 ordered=True), 2.0),
+    # every row kept: the minimum of eight
+    "identical-eight-unbounded": (MixturePriorGroup(components=(InvGamma(3.0, 1.0),) * 8,
+                                                    ordered=True), math.inf),
 }
 
 
@@ -577,27 +580,53 @@ def test_ordered_band_keeps_the_law_of_sample_ordered_rows(group, epsilon):
     assert _two_sample_ks(thinned, direct) < critical
 
 
+_STANDARD = NormalVar(0.0, 1.0)
+
+
+@pytest.mark.parametrize("factors, cdf", [
+    # a window that holds every x: the kept law is f_1's
+    (((_STANDARD, 1.0, -math.inf, math.inf),), _STANDARD.cdf),
+    # two windows [x, inf): the minimum of three, whose survival is (1 - F)^3
+    (((_STANDARD, 1.0, 0.0, math.inf),) * 2, lambda x: 1.0 - (1.0 - _STANDARD.cdf(x)) ** 3),
+], ids=["first-density", "minimum-of-three"])
+def test_enveloped_candidates_keep_their_law_in_coarse_cells(factors, cdf):
+    # cells two standard deviations wide, whose bounds leave most tests
+    # open: a candidate drawn uniform in its cell must be kept with f_1 over
+    # the cell's greatest f_1 and with the product of its window masses over
+    # the cell's bound on it, or the kept law is off
+    envelope = verify._envelope(_STANDARD, factors, np.linspace(-6.0, 6.0, 7))
+    kept = verify._enveloped_candidates(_STANDARD, factors, envelope, 200_000,
+                                        np.random.default_rng(SEED))
+    assert ks_statistic(kept, cdf) < ks_critical_value(kept.size)
+
+
 def test_every_group_is_thinned():
     # plain groups draw a candidate count at any width, up to rate 1; an
     # identical ordered band past rate 1 and a heterogeneous ordered one
-    # draw their kept count; below rate 1 they draw a candidate count
+    # draw their kept count, then candidates from the grid's envelope; below
+    # rate 1 they draw a candidate count from the first component
     for group in (MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3),
                   MixturePriorGroup(components=_SHIFTED)):
         wide = verify._thinning(group, 1e3)
         assert len(wide.factors) == 2 and wide.rate == 1.0 and wide.keep is None
+        assert not wide.envelope
     identical = MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 3, ordered=True)
     narrow, wide = verify._thinning(identical, 0.2), verify._thinning(identical, 2.0)
     assert narrow.keep is None and narrow.rate <= 1.0 and not narrow.inner
-    assert wide.rate > 1.0 and 0.0 < wide.keep < 1.0
+    assert len(narrow.factors) == 2 and not narrow.envelope
+    assert 0.0 < wide.keep < 1.0 and wide.envelope and len(wide.factors) == 2
     pair = verify._thinning(MixturePriorGroup(components=_ORDERED_BAND, ordered=True), 0.02)
-    assert pair.rate > 1.0 and pair.keep == pytest.approx(0.1505334, rel=1e-6)
+    assert pair.keep == pytest.approx(0.1505334, rel=1e-6) and pair.envelope
     assert not pair.inner
     ordered_triple = MixturePriorGroup(components=_K3_COMPONENTS, ordered=True)
     triple = verify._thinning(ordered_triple, 0.05)
     assert triple.keep is None and triple.inner == _K3_COMPONENTS[1:]
     # windows past the grid hold the upper cone, so a band wider than the
     # components keeps every row of the cone
-    assert verify._keep_probability(ordered_triple, 1e3) == pytest.approx(1.0, rel=1e-10)
+    grid = verify._grid(_K3_COMPONENTS, 1e3)
+    cone = verify._cone_mass(grid, _K3_COMPONENTS)
+    assert verify._keep_probability(grid, ordered_triple, 1e3, cone) == pytest.approx(1.0,
+                                                                                      rel=1e-10)
     # an identical group past the largest factorial a double holds
     wide = MixturePriorGroup(components=(NormalVar(0.0, 1.0),) * 200, ordered=True)
     assert verify._thinning(wide, 30.0).keep == pytest.approx(1.0)
@@ -761,18 +790,25 @@ def test_ordered_group_with_too_little_cone_raises_insufficient_retention(compon
                              rng=np.random.default_rng(SEED))
 
 
-@pytest.mark.parametrize("components, factor", [
-    # standard deviations 1000 and 0.001: 128 steps across the narrow one's grid
-    # bounds would take 1.3e8 points
-    ((NormalVar(0.0, 1e6), NormalVar(1.0, 1e-6)), "1e"),
-    # the first one's bounds in log x lie below -700, where they collapse
-    ((Gamma(1e-10, 1e308), Gamma(2.0, 1.0)), "inf"),
+def _phi(z):
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("components, epsilon, p_keep", [
+    # standard deviations 1000 and 0.001, each resolved on its own grid
+    # bounds; x_1 - x_2 ~ N(-1, 1e6): the kept count is drawn at P(keep)
+    ((NormalVar(0.0, 1e6), NormalVar(1.0, 1e-6)), 100.0,
+     (_phi(1e-3) - _phi(-99e-3)) / _phi(1e-3)),
+    # the first one's bounds in log x lie below -700, where they collapse and
+    # add no points: x_1 is 0 in doubles, so the band keeps x_2 < 0.5
+    ((Gamma(1e-10, 1e308), Gamma(2.0, 1.0)), 0.5, 1.0 - 1.5 * math.exp(-0.5)),
 ], ids=["scales-apart", "collapsed-bounds"])
-def test_ordered_band_refuses_components_its_quadrature_cannot_resolve(components, factor):
+def test_ordered_band_runs_on_components_of_any_widths(components, epsilon, p_keep):
     group = MixturePriorGroup(components=components, ordered=True)
-    with pytest.raises(GridCoverageError, match=f"differ in width by a factor of {factor}"):
-        mc_conditional_check(group, components[1], epsilon=0.01, n_draws=100_000,
-                             rng=np.random.default_rng(SEED))
+    n = 100_000
+    report = mc_conditional_check(group, components[1], epsilon=epsilon, n_draws=n,
+                                  rng=np.random.default_rng(SEED))
+    assert abs(report.n_retained - n * p_keep) <= 4.0 * math.sqrt(n * p_keep * (1.0 - p_keep))
 
 
 def test_band_without_candidates_raises_insufficient_retention():
