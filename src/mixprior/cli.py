@@ -39,10 +39,11 @@ MAX_STATIONARITY_K = 256
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
 # per point.  The Monte Carlo check runs one chunk of candidates in flight per
 # worker (verify._WORKERS), whatever K: measured by tracemalloc at its peak, a
-# chunk of 8,192 holds 80-120 bytes per candidate, and one of the kept-count
-# route's 32,768 at most 230 (7.1 MiB, a K = 3 heterogeneous ordered group at
-# epsilon 2 with its window draws), and the quadrature of an ordered band at
-# most 6 MiB once (65,536 points), so both are left out of the budget.
+# chunk of 8,192 holds 40-165 bytes per candidate (1.3 MiB; the most for an
+# ordered pair on the kept-count route, 154 for a K = 3 heterogeneous ordered
+# group at an unbounded epsilon with its window draws).  An ordered band's
+# quadrature and envelope hold a dozen arrays of its grid, about 4,000 + 260 K
+# points, once (4.7 MiB at K = 3); both are left out of the budget.
 # The first coordinates kept in the band peak at 16 bytes per draw when every
 # draw is kept (any K: the chunks' results while they are joined, then the
 # sample and the KS test's sorted copy); 128 are budgeted

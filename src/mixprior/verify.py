@@ -22,10 +22,11 @@ Two routes certify a claimed nested prior against its K component priors:
   takes this one path: an ordered group's windows are one-sided, a
   heterogeneous ordered group's rate is divided by the cone's mass, which
   comes from quadrature, and where a rate passes 1 each stream draws its
-  kept count from the same quadrature and candidates until it is reached.
-  The thinning is exact: the kept sample has the law it would have from
-  ``n_draws`` full rows, and so has its count, up to the quadrature's error
-  on the kept-count route.  Candidates come in chunks, each from its own
+  kept count from the same quadrature, then candidates from an envelope on
+  the quadrature's grid until it is reached.  The thinning is exact: the
+  kept sample has the law it would have from ``n_draws`` full rows, and so
+  has its count, up to the quadrature's error and its grid's range on the
+  kept-count route.  Candidates come in chunks, each from its own
   child generator spawned from the caller's stream, on a thread pool with
   one worker per CPU (numpy's generators and ufuncs release the GIL).
   Memory is one chunk per worker plus the retained first coordinates,
@@ -180,7 +181,7 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     )
 
 
-# candidates per chunk of the binomial-count route, on which seeded reports
+# candidates per chunk of either route, on which seeded reports
 # depend: a factor's one CDF call takes at most both window edges of every
 # candidate, half a KS chunk of points, so two workers' CDF temporaries
 # together stay within those of one KS chunk
@@ -207,10 +208,7 @@ _BAND_GRID_RESOLUTION = 128
 _INNER_STEPS = 64
 _INNER_MAX_STEPS = 1024
 _INNER_POINTS = 1 << 16
-# the kept-count route draws chunks of a KS chunk's size, up to 256 per
-# wave: with the squeeze, a chunk of _CHUNK would send only a few hundred
-# points to each CDF call, whose fixed cost would then dominate
-_WAVE_CHUNK = _KS_CHUNK
+# the most chunks of one wave of the kept-count route
 _WAVE_CHUNKS = 256
 
 # band-check chunks run on one thread per CPU this process may use
@@ -443,28 +441,20 @@ def _enveloped_candidates(first, factors, envelope, size, rng):
     # the kept ones of `size` candidates from the envelope: a cell in
     # proportion to its mass and x uniform in it, kept with f_1(x) over the
     # cell's greatest f_1, then with prod_j W_j(x) over the cell's high in
-    # one test.  The cell's low and the density squeezes settle that test
-    # where they can, and only the rest reach the CDF
+    # one test, which the cell's low settles where it can; only the rest
+    # reach the CDF
     starts, widths, cumulative, greatest, low, high = envelope
     cells = np.searchsorted(cumulative, rng.uniform(size=size) * cumulative[-1], side="right")
     x = starts[cells] + widths[cells] * rng.uniform(size=size)
     with np.errstate(all="ignore"):
         keep = rng.uniform(size=size) * greatest[cells] < _density(first, x)
     x, cells = x[keep], cells[keep]
-    t = rng.uniform(size=x.size) * high[cells]
-    lower, upper = np.zeros(x.size), np.full(x.size, np.inf)
-    if math.isfinite(factors[0][3] - factors[0][2]):  # an infinite window has no squeeze
-        lower, upper = np.ones(x.size), np.ones(x.size)
-        for (dist, lo, hi), m in _multiplicities(factors):
-            squeeze = _squeeze(dist, x + lo, x + hi)
-            lower *= np.maximum(squeeze[0], 0.0) ** m
-            upper *= squeeze[1] ** m
-    lower = np.maximum(lower, low[cells])
-    open_ = np.flatnonzero((lower <= t) & (t < upper))
+    t, low = rng.uniform(size=x.size) * high[cells], low[cells]
+    open_ = np.flatnonzero(t >= low)
     mass = np.ones(open_.size)
     for (dist, lo, hi), m in _multiplicities(factors):
         mass *= _window_mass(dist, x[open_] + lo, x[open_] + hi) ** m
-    keep = t < lower
+    keep = t < low
     keep[open_] = t[open_] < mass
     return x[keep]
 
@@ -627,9 +617,9 @@ def _stream_share(group, thinning, n, stream, run):
     kept, total = [np.empty(0)], 0
     while total < need:
         short = need - total
-        chunks = min(math.ceil((short + 4.0 * math.sqrt(short)) / (acceptance * _WAVE_CHUNK)),
+        chunks = min(math.ceil((short + 4.0 * math.sqrt(short)) / (acceptance * _CHUNK)),
                      _WAVE_CHUNKS)
-        for x in run([partial(chunk, _WAVE_CHUNK, child) for child in stream.spawn(chunks)]):
+        for x in run([partial(chunk, _CHUNK, child) for child in stream.spawn(chunks)]):
             kept.append(x)
             total += x.size
     return np.concatenate(kept)[:need]
@@ -676,27 +666,39 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     <= x_K`` stands for ``1 / P(cone)`` rows of the product, so its rate is
     ``prod_j c_j / P(cone)``, with ``P(cone)`` from the recursion ``G_1 =
     F_1``, ``G_j = int f_j G_(j-1)`` on the grid oracle's coordinate over the
-    union of the components' grid bounds, with at least 4,001 points and 128
-    steps across the narrowest component's bounds (components whose bounds
-    differ in width by more than a factor of 512 raise
-    :class:`GridCoverageError`); from K = 3 a kept candidate also draws
-    ``x_2..x_K`` inside its window, cut at each component's upper grid
-    bound, and is kept if they come out in order.  A rate over ``max(32,
-    K)`` candidates per draw raises :class:`InsufficientRetentionError`.
-    Where the rate passes 1, each stream instead draws its kept count ``N ~
-    Binomial(n, P_keep)``, ``P_keep = int f_1 q / P(cone)`` with ``q(y) = P(y
-    <= x_2 <= ... <= x_K < y + eps)`` from the same quadrature, then
-    candidates until ``N`` are kept, and cuts the pool at ``N``: the count is
-    exact up to the quadrature's error.  Seeded reports of heterogeneous
-    ordered groups, and of identical ordered ones past rate 1, changed when
-    they came onto this path; before, they drew whole ordered rows.
+    union of the components' grid bounds.  That grid is uniform between
+    consecutive bounds, at most 1/4,000 of the union per step, with at least
+    128 steps across each component's bounds and across those of ``x_2..x_K``
+    moved down by ``eps``, so components of any widths are resolved.  From K
+    = 3 a kept candidate also draws ``x_2..x_K`` inside its window, cut at
+    each component's upper grid bound, and is kept if they come out in
+    order.  A rate over ``max(32, K)`` candidates per draw raises
+    :class:`InsufficientRetentionError`: the cone then holds less than 1/32
+    of the product, which rejection sampling the cone refused too (1e6
+    proposals per 32,768 rows).  Where the rate passes 1, each stream instead
+    draws its kept count ``N ~ Binomial(n, P_keep)``, ``P_keep = int f_1 q /
+    P(cone)`` with ``q(y) = P(y <= x_2 <= ... <= x_K < y + eps)`` from the
+    same quadrature, then candidates until ``N`` are kept, and cuts the pool
+    at ``N``: the count is exact up to the quadrature's error.  These
+    candidates come from an envelope on the grid's cells: a cell in
+    proportion to its greatest ``f_1`` times a bound on ``prod_j W_j`` over
+    the cell, from the CDF at the cell's ends, then ``x_1`` uniform in the
+    cell, kept with ``f_1`` over the cell's greatest and with ``prod_j W_j``
+    over the cell's bound, a test the cell's lower bound settles where it
+    can.  A candidate then stands for ``K' total /
+    P(cone)`` rows, ``total`` the envelope's mass and ``K' = K`` for the
+    minimum of an identical group (else 1), and few candidates are needed
+    per kept draw whatever K and ``eps``.  The first coordinates are drawn
+    on the grid's range, as the quadrature counts them.  Seeded reports of
+    heterogeneous ordered groups, and of identical ordered ones past rate 1,
+    changed when they came onto this path; before, they drew whole ordered
+    rows.
 
     A stream's count comes from ``stream.spawn(1)[0]``; its candidates then
     come in chunks of ``_CHUNK`` (8,192), and chunk j of ``n_chunks`` draws
     from ``stream.spawn(n_chunks)[j]``.  On the kept-count route they come in
-    full chunks of ``_WAVE_CHUNK`` (32,768), in waves sized from the
-    acceptance ``P_keep / rate``, each wave's chunks spawned after the last
-    wave's.  So the call advances each stream's spawn counter, not its bit
+    full chunks, in waves sized from the acceptance ``P_keep / rate``, each
+    wave's chunks spawned after the last wave's.  So the call advances each stream's spawn counter, not its bit
     generator.  The chunks run on a thread pool with one worker per CPU and
     are pooled in order, and every decision depends only on counts, so a
     seeded report does not depend on the number of CPUs; it does depend on

@@ -642,11 +642,10 @@ def test_mc_report_is_a_sequential_pass_over_spawned_blocks_for_any_worker_count
         group, monkeypatch):
     # 200,000 rows make a few thousand candidates, in chunks of 700 here, the
     # last one short; the ordered pair passes rate 1 and draws its kept count
-    # from waves of full chunks of 5,000 candidates, at most 4 per wave
+    # from waves of full chunks, at most 4 per wave
     claimed = coherent_product(group.components)
     n, epsilon = 200_000, 0.1
     monkeypatch.setattr(verify, "_CHUNK", 700)
-    monkeypatch.setattr(verify, "_WAVE_CHUNK", 5000)
     monkeypatch.setattr(verify, "_WAVE_CHUNKS", 4)
     reference = _band_report(_sequential(group, epsilon, n, np.random.default_rng(SEED)),
                              claimed, epsilon)
