@@ -26,9 +26,8 @@ _SUBMODULE_NAMES = {
     ),
     "constraints": (
         "CompanionMatrix", "ParameterDraw", "StationarityProblem", "build_p2",
-        "companion_spectral_radius", "indicator_ordered", "is_stationary_ar2",
-        "is_stationary_msar2", "regularity_indicator", "sample_constrained_priors",
-        "sample_ordered", "spectral_radius",
+        "companion_spectral_radius", "is_stationary_ar2", "is_stationary_msar2",
+        "sample_constrained_priors", "sample_ordered", "spectral_radius",
     ),
     "distributions": ("Dirichlet", "DistSpec", "Gamma", "InvGamma", "NormalPrec", "NormalVar"),
     "errors": ("ConfigurationError", "GridCoverageError", "InsufficientRetentionError",

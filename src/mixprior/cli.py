@@ -37,9 +37,9 @@ EXIT_INPUT = 2
 MAX_STATIONARITY_K = 256
 
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
-# per point.  The Monte Carlo check runs one chunk of candidates in flight per
-# worker (verify._WORKERS), whatever K: measured by tracemalloc at its peak, a
-# chunk of 8,192 holds 40-165 bytes per candidate (1.3 MiB; the most for an
+# per point.  The Monte Carlo check holds one chunk of candidates in flight,
+# whatever K: measured by tracemalloc at its peak, a chunk of 8,192 holds
+# 40-165 bytes per candidate (1.3 MiB; the most for an
 # ordered pair on the kept-count route, 154 for a K = 3 heterogeneous ordered
 # group at an unbounded epsilon with its window draws).  An ordered band's
 # quadrature and envelope hold a dozen arrays of its grid, about 4,000 + 260 K

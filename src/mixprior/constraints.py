@@ -39,24 +39,16 @@ __all__ = [
     "ParameterDraw",
     "RejectionCapError",
     "ConfigurationError",
-    "indicator_ordered",
     "sample_ordered",
     "build_p2",
     "spectral_radius",
     "companion_spectral_radius",
     "is_stationary_msar2",
     "is_stationary_ar2",
-    "regularity_indicator",
     "sample_constrained_priors",
 ]
 
 DEFAULT_REJECTION_CAP = 1_000_000
-
-
-def indicator_ordered(values) -> bool:
-    """True iff the coordinates are nondecreasing (ties allowed)."""
-    values = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(values) >= 0.0))
 
 
 def sample_ordered(group: MixturePriorGroup, rng: np.random.Generator, size: int | None = None,
@@ -395,18 +387,6 @@ def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarra
                           _values_by_regime(model, block, "phi2", k))
         return spectral_radius(stack) < 1.0
     raise ConfigurationError(f"unknown regularity kind {kind!r}")
-
-
-def regularity_indicator(model: "ModelSpec", draw: ParameterDraw) -> bool:
-    """Evaluate the model's regularity constraint at one parameter point (a block of one)."""
-    block = ParameterDraw(
-        delta={name: np.asarray(value, dtype=float).reshape(1)
-               for name, value in draw.delta.items()},
-        groups={label: np.asarray(values, dtype=float).reshape(1, -1)
-                for label, values in draw.groups.items()},
-        eta=None if draw.eta is None else np.asarray(draw.eta, dtype=float)[None],
-    )
-    return bool(_regular_mask(model, block, 1)[0])
 
 
 def _unstack(block: ParameterDraw, rows: np.ndarray) -> list[ParameterDraw]:

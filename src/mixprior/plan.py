@@ -182,7 +182,12 @@ def _check_pairing(pairing: Pairing, nested: ModelSpec, general: ModelSpec,
 
 
 def check_plan(plan: CoherencePlan, tol: float = DEFAULT_PLAN_TOL) -> PlanReport:
-    """Check every pairing; identity pairings compare hyperparameters exactly."""
+    """Check every pairing; identity pairings compare hyperparameters exactly.
+
+    ``tol`` must be >= 0, possibly infinite; a NaN is refused.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     results = tuple(_check_pairing(p, plan.nested, plan.general, tol) for p in plan.pairings)
     return PlanReport(nested_name=plan.nested.name, general_name=plan.general.name,
                       tol=tol, results=results)

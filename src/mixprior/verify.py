@@ -26,21 +26,18 @@ Two routes certify a claimed nested prior against its K component priors:
   the quadrature's grid until it is reached.  The thinning is exact: the
   kept sample has the law it would have from ``n_draws`` full rows, and so
   has its count, up to the quadrature's error and its grid's range on the
-  kept-count route.  Candidates come in chunks, each from its own
-  child generator spawned from the caller's stream, on a thread pool with
-  one worker per CPU (numpy's generators and ufuncs release the GIL).
-  Memory is one chunk per worker plus the retained first coordinates,
-  whatever ``n_draws`` and K.
+  kept-count route.  Candidates come in chunks, each from its own child
+  generator spawned from the caller's stream, and run in order on the
+  calling thread.  Memory is one chunk plus the retained first
+  coordinates, whatever ``n_draws`` and K.
 
 Everything in here is a pure function of its inputs (plus the supplied
-generator), so identical seeds reproduce reports bit for bit, on any machine
-and whatever its number of CPUs.
+generator), so identical seeds reproduce reports bit for bit, on any machine.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from functools import partial
 from typing import NamedTuple
@@ -126,7 +123,8 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     closed-form bound of ``claimed`` (``DistSpec.grid_bounds``) or
     ``DEFAULT_GRID_N``.  Raises :class:`GridCoverageError` when the grid
     leaves the double range of x or holds less than 99.9% of the product
-    mass found on a grid ten times as wide.
+    mass found on a grid ten times as wide.  ``sup_tol`` must be >= 0,
+    possibly infinite; a NaN is refused.
     """
     components = list(components)
     if len(components) < 2:
@@ -138,6 +136,8 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
     n = DEFAULT_GRID_N if n is None else int(n)
     if n < 1001:
         raise ValueError(f"grid needs at least 1001 points, got {n}")
+    if not sup_tol >= 0.0:
+        raise ValueError(f"sup_tol must be >= 0, got {sup_tol}")
     if log_x and not all(x is None or x > 0.0 for x in (lo, hi)):
         raise ValueError(f"grid bounds of {claimed.family} must be > 0, got [{lo}, {hi}]")
     to_u, limit = (math.log, _LOG_X_LIMIT) if log_x else (float, math.inf)
@@ -183,8 +183,7 @@ def verify_product_coherence(components, claimed: DistSpec, grid=None,
 
 # candidates per chunk of either route, on which seeded reports
 # depend: a factor's one CDF call takes at most both window edges of every
-# candidate, half a KS chunk of points, so two workers' CDF temporaries
-# together stay within those of one KS chunk
+# candidate, half a KS chunk of points
 _CHUNK = _KS_CHUNK // 4
 # grid steps of a window bound: it exceeds the heaviest window by at most the
 # mass of one step, about 1/64 of that window's
@@ -208,14 +207,6 @@ _BAND_GRID_RESOLUTION = 128
 _INNER_STEPS = 64
 _INNER_MAX_STEPS = 1024
 _INNER_POINTS = 1 << 16
-# the most chunks of one wave of the kept-count route
-_WAVE_CHUNKS = 256
-
-# band-check chunks run on one thread per CPU this process may use
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _WORKERS = os.cpu_count() or 1
 
 
 def _cdf(dist, x):
@@ -600,28 +591,21 @@ def _split(stream, total, size):
     return [(min(size, total - j * size), child) for j, child in enumerate(children)]
 
 
-def _stream_share(group, thinning, n, stream, run):
-    # one stream's retained first coordinates of n rows; `run` maps a list
-    # of tasks to their results in order
+def _stream_share(group, thinning, n, stream):
+    # one stream's retained first coordinates of n rows
     chunk = partial(_thinned_chunk, group.components[0], thinning)
     (counter,) = stream.spawn(1)
     if thinning.keep is None:
         candidates = int(counter.binomial(n, thinning.rate))
-        return np.concatenate([np.empty(0), *run([partial(chunk, m, child) for m, child
-                                                  in _split(stream, candidates, _CHUNK)])])
-    # the kept count, then full chunks in waves sized from the acceptance
-    # keep / rate, four binomial deviations over the count still short,
-    # until it is reached; the pool is cut there
+        return np.concatenate([np.empty(0), *(chunk(m, child) for m, child
+                                              in _split(stream, candidates, _CHUNK))])
+    # the kept count, then full chunks, each from the next child, until it
+    # is reached; the kept sample is cut there
     need = int(counter.binomial(n, thinning.keep))
-    acceptance = thinning.keep / thinning.rate
     kept, total = [np.empty(0)], 0
     while total < need:
-        short = need - total
-        chunks = min(math.ceil((short + 4.0 * math.sqrt(short)) / (acceptance * _CHUNK)),
-                     _WAVE_CHUNKS)
-        for x in run([partial(chunk, _CHUNK, child) for child in stream.spawn(chunks)]):
-            kept.append(x)
-            total += x.size
+        kept.append(chunk(_CHUNK, stream.spawn(1)[0]))
+        total += kept[-1].size
     return np.concatenate(kept)[:need]
 
 
@@ -631,8 +615,9 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     """Epsilon-band conditional check of the claimed nested prior.
 
     Draws the K-vector from the (possibly ordered) group, keeps draws with
-    ``max_i |tau_i| < epsilon`` and KS-tests the retained first coordinate
-    against ``claimed``.  ``rng`` may be a single generator or a sequence of
+    ``max_i |tau_i| < epsilon`` (``epsilon > 0``, possibly infinite; a NaN
+    is refused) and KS-tests the retained first coordinate against
+    ``claimed``.  ``rng`` may be a single generator or a sequence of
     independent generators; with a sequence the draws are partitioned evenly
     across the streams and the retained samples are pooled before the test.
 
@@ -678,8 +663,8 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     proposals per 32,768 rows).  Where the rate passes 1, each stream instead
     draws its kept count ``N ~ Binomial(n, P_keep)``, ``P_keep = int f_1 q /
     P(cone)`` with ``q(y) = P(y <= x_2 <= ... <= x_K < y + eps)`` from the
-    same quadrature, then candidates until ``N`` are kept, and cuts the pool
-    at ``N``: the count is exact up to the quadrature's error.  These
+    same quadrature, then candidates until ``N`` are kept, and cuts the kept
+    sample at ``N``: the count is exact up to the quadrature's error.  These
     candidates come from an envelope on the grid's cells: a cell in
     proportion to its greatest ``f_1`` times a bound on ``prod_j W_j`` over
     the cell, from the CDF at the cell's ends, then ``x_1`` uniform in the
@@ -697,16 +682,15 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     A stream's count comes from ``stream.spawn(1)[0]``; its candidates then
     come in chunks of ``_CHUNK`` (8,192), and chunk j of ``n_chunks`` draws
     from ``stream.spawn(n_chunks)[j]``.  On the kept-count route they come in
-    full chunks, in waves sized from the acceptance ``P_keep / rate``, each
-    wave's chunks spawned after the last wave's.  So the call advances each stream's spawn counter, not its bit
-    generator.  The chunks run on a thread pool with one worker per CPU and
-    are pooled in order, and every decision depends only on counts, so a
-    seeded report does not depend on the number of CPUs; it does depend on
+    full chunks, each from the next ``stream.spawn(1)[0]``, until ``N`` are
+    kept.  So the call advances each stream's spawn counter by the chunks it
+    used, not its bit generator.  The chunks run in order on the calling
+    thread and one chunk is in memory at a time; a seeded report depends on
     the chunk sizes.  Only the retained first coordinates outlive a chunk.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n_draws < 100_000:
         raise ValueError(f"need n_draws >= 100000, got {n_draws}")
@@ -720,16 +704,9 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
         raise ValueError("need at least one generator")
     share, remainder = divmod(n_draws, len(streams))
     thinning = _thinning(group, epsilon)
-    # imported here: `verify --method grid` and the numpy-free commands skip its cost
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        def run(tasks):
-            return list(pool.map(lambda task: task(), tasks))
-
-        retained = np.concatenate([
-            _stream_share(group, thinning, share + (1 if i < remainder else 0), stream, run)
-            for i, stream in enumerate(streams)])
+    retained = np.concatenate([
+        _stream_share(group, thinning, share + (1 if i < remainder else 0), stream)
+        for i, stream in enumerate(streams)])
     n_retained = int(retained.size)
     if n_retained < _MIN_KS_SAMPLES:
         raise InsufficientRetentionError(

@@ -306,16 +306,15 @@ class _BandCheckReached(Exception):
     pass
 
 
-def test_verify_budget_is_128_bytes_per_draw_whatever_the_workers(monkeypatch, capsys):
+def test_verify_budget_is_128_bytes_per_draw(monkeypatch, capsys):
     # 2^24 draws fill the 2 GiB budget at 128 bytes each, for 20 components
-    # and 64 workers alike; one draw more is an input error
+    # as for two; one draw more is an input error
     from mixprior import verify
 
     def reached(*args, **kwargs):
         raise _BandCheckReached
 
     monkeypatch.setattr(verify, "mc_conditional_check", reached)
-    monkeypatch.setattr(verify, "_WORKERS", 64)
     components = [*["--component", "gamma(a_breve=3, b_breve=1)"] * 20]
     with pytest.raises(_BandCheckReached):
         main(["verify", "--method", "mc", "--n-draws", str(1 << 24), *components])
@@ -323,18 +322,38 @@ def test_verify_budget_is_128_bytes_per_draw_whatever_the_workers(monkeypatch, c
     assert capsys.readouterr().err.startswith("error: --n-draws")
 
 
-def test_verify_machine_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
-    from mixprior import verify
-
+def test_verify_machine_output_is_the_same_for_the_same_seed(capsys):
     args = ["verify", "--method", "both", "--n-draws", "200000", "--epsilon", "0.05",
             "--format", "machine", "--component", "gamma(a_breve=3, b_breve=2)",
             "--component", "gamma(a_breve=4, b_breve=1)"]
     outputs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(verify, "_WORKERS", workers)
+    for _ in range(2):
         assert main(args) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--method", "mc", "--epsilon", "nan", "--n-draws", "100000"],
+    ["verify", "--method", "mc", "--epsilon", "-0.02", "--n-draws", "100000"],
+    ["verify", "--method", "both", "--epsilon", "nan", "--n-draws", "100000"],
+    ["verify", "--method", "grid", "--sup-tol", "nan"],
+    ["verify", "--method", "grid", "--sup-tol=-1e-6"],
+    ["check-plan", "--tol", "nan"],
+    ["check-plan", "--tol", "-1"],
+], ids=["mc-epsilon-nan", "mc-epsilon-negative", "both-epsilon-nan", "grid-sup-tol-nan",
+        "grid-sup-tol-negative", "check-plan-tol-nan", "check-plan-tol-negative"])
+def test_nan_or_negative_tolerances_are_input_errors(argv, capsys):
+    if argv[0] == "verify":
+        argv = [*argv, "--component", "gamma(a_breve=3, b_breve=2)",
+                "--component", "gamma(a_breve=4, b_breve=1)"]
+    else:
+        argv = [*argv, "--nested", str(DEMO_MODELS / "ar2.model"),
+                "--general", str(DEMO_MODELS / "msiah2_ar2.model")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err, captured.err
 
 
 def test_verify_normal_prec_variance_overflow_is_input_error(capsys):

@@ -18,14 +18,13 @@ from mixprior import (
     StationarityProblem,
     build_p2,
     companion_spectral_radius,
-    indicator_ordered,
     is_stationary_ar2,
     is_stationary_msar2,
-    regularity_indicator,
     sample_constrained_priors,
     sample_ordered,
     spectral_radius,
 )
+from mixprior.constraints import _regular_mask
 from mixprior.verify import ks_critical_value, ks_statistic
 from mixprior.special import standard_normal_cdf
 
@@ -40,11 +39,14 @@ def random_stochastic(rng, k):
 # ordering
 
 
-def test_indicator_ordered():
-    assert indicator_ordered((1.0, 1.0, 2.0))
-    assert not indicator_ordered((2.0, 1.0))
-    assert indicator_ordered((3.0,) * 5)  # ties must pass, the diagonal stays in the support
-    assert indicator_ordered((7.0,))
+def test_sample_ordered_keeps_ties():
+    # weak inequalities: the equal-components diagonal stays in the support.
+    # Both components round every draw to exactly 5.0, so every proposal is a
+    # tie, and one attempt per row suffices
+    group = MixturePriorGroup(components=(NormalVar(5.0, 1e-40), NormalVar(5.0, 2e-40)),
+                              ordered=True)
+    draws = sample_ordered(group, np.random.default_rng(SEED), size=100, max_attempts=100)
+    assert np.all(draws == 5.0)
 
 
 def test_sample_ordered_requires_flag():
@@ -384,7 +386,7 @@ def test_verdict_radius_is_the_spectral_radius():
 
 
 # ---------------------------------------------------------------------------
-# regularity indicator and constrained sampling
+# regularity mask and constrained sampling
 
 
 def ar2_model(v=100.0, regularity="ar2_stationarity"):
@@ -412,40 +414,36 @@ def msar2_model(k=2):
     )
 
 
-def test_regularity_indicator_examples():
-    model = ar2_model()
-    inside = ParameterDraw(delta={}, groups={"phi1": np.array([0.2]), "phi2": np.array([0.2])})
-    outside = ParameterDraw(delta={}, groups={"phi1": np.array([1.5]), "phi2": np.array([0.0])})
-    assert regularity_indicator(model, inside)
-    assert not regularity_indicator(model, outside)
-    unconstrained = ar2_model(regularity="none")
-    assert regularity_indicator(unconstrained, outside)
+def test_regular_mask_examples():
+    # a block of two candidates, one inside the stationarity triangle and one outside
+    block = ParameterDraw(delta={}, groups={"phi1": np.array([[0.2], [1.5]]),
+                                            "phi2": np.array([[0.2], [0.0]])})
+    assert _regular_mask(ar2_model(), block, 2).tolist() == [True, False]
+    assert _regular_mask(ar2_model(regularity="none"), block, 2).tolist() == [True, True]
 
 
-def test_regularity_pooled_regimes_agree_with_nested_indicator():
-    model = msar2_model(k=3)
+def test_regular_mask_pooled_regimes_agree_with_nested_mask():
+    # 50 switching candidates whose regimes share one phi: the block-matrix
+    # radius must give the nested companion radius's verdict on each
     rng = np.random.default_rng(SEED + 7)
-    for _ in range(50):
-        phi1, phi2 = rng.uniform(-1.5, 1.5, size=2)
-        eta = random_stochastic(rng, 3)
-        pooled = ParameterDraw(
-            delta={},
-            groups={"phi1": np.full(3, phi1), "phi2": np.full(3, phi2)},
-            eta=eta,
-        )
-        nested = ParameterDraw(delta={}, groups={"phi1": np.array([phi1]),
-                                                 "phi2": np.array([phi2])})
-        assert regularity_indicator(model, pooled) == regularity_indicator(ar2_model(), nested)
+    phi = rng.uniform(-1.5, 1.5, size=(50, 2, 1))
+    eta = np.stack([random_stochastic(rng, 3) for _ in range(50)])
+    pooled = ParameterDraw(delta={}, groups={"phi1": np.repeat(phi[:, 0], 3, axis=1),
+                                             "phi2": np.repeat(phi[:, 1], 3, axis=1)}, eta=eta)
+    nested = ParameterDraw(delta={}, groups={"phi1": phi[:, 0], "phi2": phi[:, 1]})
+    mask = _regular_mask(msar2_model(k=3), pooled, 50)
+    assert 0 < mask.sum() < 50
+    assert np.array_equal(mask, _regular_mask(ar2_model(), nested, 50))
 
 
 def test_regularity_configuration_errors():
     model = ar2_model()
     with pytest.raises(ConfigurationError):
-        regularity_indicator(model, ParameterDraw(delta={}, groups={"phi1": np.array([0.1])}))
-    switching = ParameterDraw(delta={}, groups={"phi1": np.array([0.1, 0.2]),
-                                                "phi2": np.array([0.0, 0.0])})
+        _regular_mask(model, ParameterDraw(delta={}, groups={"phi1": np.array([[0.1]])}), 1)
+    switching = ParameterDraw(delta={}, groups={"phi1": np.array([[0.1, 0.2]]),
+                                                "phi2": np.array([[0.0, 0.0]])})
     with pytest.raises(ConfigurationError):
-        regularity_indicator(model, switching)
+        _regular_mask(model, switching, 1)
 
 
 def test_unconstrained_sampler_accepts_everything():
@@ -506,7 +504,7 @@ def _random_switching_block(rng, k, m):
 
 
 def test_batched_p2_stack_and_mask_match_per_draw_solves():
-    from mixprior.constraints import _p2_stack, _regular_mask
+    from mixprior.constraints import _p2_stack
 
     rng = np.random.default_rng(SEED + 10)
     for k in (1, 2, 3, 4):
@@ -535,8 +533,6 @@ def test_batched_p2_stack_and_mask_match_per_draw_solves():
 def test_sampler_mask_agrees_with_the_stationarity_verdict():
     # the mask tests rho < 1 without the accuracy band, which for continuous
     # draws is rounding-sized, so both accept the same candidates
-    from mixprior.constraints import _regular_mask
-
     rng = np.random.default_rng(SEED + 14)
     for k in (2, 3, 4):
         p, phi1, phi2 = _random_switching_block(rng, k, 200)
@@ -586,8 +582,10 @@ def test_sampler_keeps_the_first_accepted_candidates_in_stream_order(monkeypatch
     assert rate == 600 / (accepted[-1] + 1)
     assert np.array_equal(np.array([d.groups["phi1"] for d in draws]), stream[accepted])
     assert np.array_equal(np.array([d.eta for d in draws]), eta[accepted])
-    for draw in draws[:20]:
-        assert regularity_indicator(model, draw)
+    first = ParameterDraw(delta={}, groups={label: np.stack([d.groups[label] for d in draws[:20]])
+                                            for label in ("phi1", "phi2")},
+                          eta=np.stack([d.eta for d in draws[:20]]))
+    assert _regular_mask(model, first, 20).all()
 
 
 @pytest.mark.parametrize("cap", [1, 7, 500])
@@ -666,8 +664,7 @@ def test_ordered_group_draws_respect_constraint_through_model_sampler():
     rng = np.random.default_rng(SEED + 8)
     draws, rate = sample_constrained_priors(model, 500, rng)
     assert rate == 1.0
-    for draw in draws:
-        assert indicator_ordered(draw.groups["mu"])
+    assert np.all(np.diff(np.stack([draw.groups["mu"] for draw in draws]), axis=1) >= 0.0)
 
 
 def test_intermediate_model_sampler_respects_nested_constraint(msi2_doc):

@@ -18,8 +18,8 @@ PUBLIC_NAMES = {
     "constraints": [
         "CompanionMatrix", "ConfigurationError", "OrderingConstraint", "ParameterDraw",
         "RejectionCapError", "StationarityProblem",
-        "StationarityResult", "build_p2", "companion_spectral_radius", "indicator_ordered",
-        "is_stationary_ar2", "is_stationary_msar2", "regularity_indicator",
+        "StationarityResult", "build_p2", "companion_spectral_radius",
+        "is_stationary_ar2", "is_stationary_msar2",
         "sample_constrained_priors", "sample_ordered", "spectral_radius",
     ],
     "distributions": ["Dirichlet", "DistSpec", "Gamma", "InvGamma", "NormalPrec", "NormalVar"],

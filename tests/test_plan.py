@@ -79,6 +79,12 @@ def test_perturbed_variance_fails_with_reported_discrepancy(ar2_doc, msiah2_doc)
     assert failing["phi1"].discrepancy == pytest.approx(1e-3, rel=1e-6)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_nan_or_negative_tolerance_is_refused(tol, ar2_doc, msiah2_doc):
+    with pytest.raises(ValueError, match="tol"):
+        check_plan(plan_between(parse_model(ar2_doc), parse_model(msiah2_doc)), tol=tol)
+
+
 def test_backwards_nesting_is_reported_as_failure(ar2_doc, msiah2_doc):
     report = check_plan(plan_between(parse_model(msiah2_doc), parse_model(ar2_doc)))
     assert not report.passed

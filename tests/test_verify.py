@@ -27,7 +27,7 @@ from mixprior import (
 )
 from mixprior import verify
 from mixprior.cli import MAX_MC_DRAWS
-from mixprior.reports import to_machine
+from mixprior.reports import from_machine, to_machine
 
 SEED = 511
 
@@ -165,6 +165,16 @@ def test_grid_check_rejects_small_grids():
                                  grid=(-10, 10, 500))
 
 
+def test_grid_check_rejects_a_nan_or_negative_tolerance():
+    for sup_tol in (math.nan, -1e-6):
+        with pytest.raises(ValueError, match="sup_tol"):
+            verify_product_coherence([NormalVar(0, 1)] * 2, NormalVar(0.0, 0.5), sup_tol=sup_tol)
+    # an unbounded tolerance passes every claim, and its report round-trips
+    report = verify_product_coherence([NormalVar(0, 1)] * 2, NormalVar(0.0, 1.0),
+                                      sup_tol=math.inf)
+    assert report.passed and from_machine(to_machine(report)) == report
+
+
 def test_grid_certifies_randomized_instances_every_family():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(6):
@@ -283,9 +293,10 @@ def test_mc_check_insufficient_retention():
 
 def test_mc_check_input_validation():
     group = MixturePriorGroup(components=(NormalVar(0, 1),) * 2)
-    with pytest.raises(ValueError):
-        mc_conditional_check(group, NormalVar(0, 0.5), epsilon=0.0,
-                             n_draws=1_000_000, rng=np.random.default_rng(0))
+    for epsilon in (0.0, -0.02, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            mc_conditional_check(group, NormalVar(0, 0.5), epsilon=epsilon,
+                                 n_draws=1_000_000, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         mc_conditional_check(group, NormalVar(0, 0.5), epsilon=0.02,
                              n_draws=1000, rng=np.random.default_rng(0))
@@ -490,9 +501,8 @@ _SHIFTED = (NormalVar(0.0, 1.0), NormalVar(0.5, 1.0), NormalVar(1.0, 1.0))
 
 
 def _sequential(group, epsilon, n, stream):
-    # one stream's share of the band check, its tasks run in order on this thread
-    return verify._stream_share(group, verify._thinning(group, epsilon), n, stream,
-                                lambda tasks: [task() for task in tasks])
+    # one stream's share of the band check
+    return verify._stream_share(group, verify._thinning(group, epsilon), n, stream)
 
 
 _LAW_CASES = {
@@ -638,22 +648,38 @@ def test_every_group_is_thinned():
     MixturePriorGroup(components=_ORDERED_BAND, ordered=True),
     MixturePriorGroup(components=_K3_COMPONENTS, ordered=True),
 ], ids=["identical", "heterogeneous", "heterogeneous-ordered", "heterogeneous-ordered-k3"])
-def test_mc_report_is_a_sequential_pass_over_spawned_blocks_for_any_worker_count(
-        group, monkeypatch):
+def test_mc_report_is_a_sequential_pass_over_spawned_chunks(group, monkeypatch):
     # 200,000 rows make a few thousand candidates, in chunks of 700 here, the
     # last one short; the ordered pair passes rate 1 and draws its kept count
-    # from waves of full chunks, at most 4 per wave
+    # from many full chunks, one child each
     claimed = coherent_product(group.components)
     n, epsilon = 200_000, 0.1
     monkeypatch.setattr(verify, "_CHUNK", 700)
-    monkeypatch.setattr(verify, "_WAVE_CHUNKS", 4)
     reference = _band_report(_sequential(group, epsilon, n, np.random.default_rng(SEED)),
                              claimed, epsilon)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(verify, "_WORKERS", workers)
-        report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
+    report = mc_conditional_check(group, claimed, epsilon=epsilon, n_draws=n,
+                                  rng=np.random.default_rng(SEED))
+    assert report == reference
+
+
+def test_band_check_starts_no_thread(monkeypatch):
+    # a binomial-count group and the ordered pair, which takes the kept-count
+    # route, run every chunk on the calling thread
+    import threading
+
+    def refuse(self):
+        raise AssertionError("the band check started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    plain = MixturePriorGroup(components=(Gamma(3.0, 2.0),) * 3)
+    pair = MixturePriorGroup(components=_ORDERED_BAND, ordered=True)
+    assert verify._thinning(plain, 0.1).keep is None
+    assert verify._thinning(pair, 0.02).keep is not None
+    for group, epsilon in ((plain, 0.1), (pair, 0.02)):
+        report = mc_conditional_check(group, coherent_product(group.components),
+                                      epsilon=epsilon, n_draws=200_000,
                                       rng=np.random.default_rng(SEED))
-        assert report == reference, workers
+        assert report.n_retained >= 200
 
 
 def test_mc_check_rejects_dirichlet_and_degenerate_groups():
