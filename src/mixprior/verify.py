@@ -311,7 +311,8 @@ def _grid(components, epsilon=0.0):
                 lo, hi = (math.log(x) if x > 0.0 else -math.inf for x in (lo, hi))
             bounds.add((max(lo, first), min(hi, last)))
     bounds = sorted(b for b in bounds if b[0] < b[1])
-    edges = np.unique(bounds)
+    # sorted in Python: np.unique would import numpy.ma on its first call
+    edges = np.array(sorted({u for b in bounds for u in b}))
     steps = np.full(edges.size - 1, (edges[-1] - edges[0]) / (DEFAULT_GRID_N - 1))
     for lo, hi in bounds:
         held = slice(np.searchsorted(edges, lo), np.searchsorted(edges, hi))
