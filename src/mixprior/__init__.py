@@ -32,8 +32,8 @@ _SUBMODULE_NAMES = {
     "distributions": ("Dirichlet", "DistSpec", "Gamma", "InvGamma", "NormalPrec", "NormalVar"),
     "errors": ("ConfigurationError", "GridCoverageError", "InsufficientRetentionError",
                "RejectionCapError"),
-    "modelspec": ("Diagnostic", "ModelFormatError", "ModelSpec", "OrderingConstraint",
-                  "format_dist", "format_model", "parse_dist", "parse_model"),
+    "modelspec": ("Diagnostic", "ModelFormatError", "ModelSpec", "format_dist", "format_model",
+                  "parse_dist", "parse_model"),
     "plan": ("CoherencePlan", "Pairing", "PairingResult", "PlanError", "PlanReport",
              "build_family_model", "check_plan", "derive_pairings"),
     "reports": ("CoherenceReport", "StationarityResult", "emit_report", "from_machine",

@@ -43,7 +43,7 @@ MAX_STATIONARITY_K = 256
 # ordered pair on the kept-count route, 154 for a K = 3 heterogeneous ordered
 # group at an unbounded epsilon with its window draws).  An ordered band's
 # quadrature and envelope hold a dozen arrays of its grid, about 4,000 + 260 K
-# points, once (4.7 MiB at K = 3); both are left out of the budget.
+# points, once (1.3 MiB at K = 3 and at K = 8); both are left out of the budget.
 # The first coordinates kept in the band peak at 16 bytes per draw when every
 # draw is kept (any K: the chunks' results while they are joined, then the
 # sample and the KS test's sorted copy); 128 are budgeted

@@ -28,11 +28,10 @@ import numpy as np
 
 from .coherence import MixturePriorGroup
 from .errors import ConfigurationError, RejectionCapError
-from .modelspec import REGULARITY_KINDS, ModelSpec, OrderingConstraint
+from .modelspec import REGULARITY_KINDS, ModelSpec
 from .reports import StationarityResult
 
 __all__ = [
-    "OrderingConstraint",
     "CompanionMatrix",
     "StationarityProblem",
     "StationarityResult",

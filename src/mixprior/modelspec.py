@@ -24,7 +24,6 @@ __all__ = [
     "Diagnostic",
     "ModelFormatError",
     "ModelSpec",
-    "OrderingConstraint",
     "parse_model",
     "format_model",
     "parse_dist",
@@ -62,14 +61,6 @@ class ModelFormatError(ValueError):
         super().__init__(f"invalid model document:\n{lines}")
 
 
-@dataclass(frozen=True)
-class OrderingConstraint:
-    """Marks the one group per model whose coordinates are sampled nondecreasing."""
-
-    group_label: str
-    direction: str = "nondecreasing"
-
-
 @dataclass(frozen=True, eq=True)
 class ModelSpec:
     """A full prior structure: common priors, switching groups, transition rows."""
@@ -93,13 +84,6 @@ class ModelSpec:
         _validate_model(self, diags)
         if diags:
             raise ModelFormatError(diags)
-
-    @property
-    def ordering_constraint(self) -> OrderingConstraint | None:
-        for label, group in self.groups.items():
-            if group.ordered:
-                return OrderingConstraint(group_label=label)
-        return None
 
     def scalar_prior(self, name: str) -> DistSpec | None:
         """The prior of a non-switching parameter, whether stored as delta or a 1-group."""

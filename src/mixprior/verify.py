@@ -21,7 +21,7 @@ Two routes certify a claimed nested prior against its K component priors:
   window's edges and mode, and only the rest call the CDF.  Every group
   takes this one path: an ordered group's windows are one-sided, a
   heterogeneous ordered group's rate is divided by the cone's mass, which
-  comes from quadrature, and where a rate passes 1 each stream draws its
+  comes from quadrature, and where a rate passes 1 the check draws its
   kept count from the same quadrature, then candidates from an envelope on
   the quadrature's grid until it is reached.  The thinning is exact: the
   kept sample has the law it would have from ``n_draws`` full rows, and so
@@ -200,13 +200,8 @@ _MAX_RATE = 32
 # rounds of uniform proposals in a window draw before it bisects the CDF
 _WINDOW_ROUNDS = 16
 _BISECTION_STEPS = 64
-# steps of the band's quadrature across each component's grid bounds, then
-# the fewest and most steps inside one window, and the points of a block of
-# windows
+# steps of the band's quadrature across each component's grid bounds
 _BAND_GRID_RESOLUTION = 128
-_INNER_STEPS = 64
-_INNER_MAX_STEPS = 1024
-_INNER_POINTS = 1 << 16
 
 
 def _cdf(dist, x):
@@ -352,27 +347,76 @@ def _cumulative(g, us):
     return out
 
 
-def _cone_mass(grid, components):
-    # P(x_1 <= ... <= x_K) by the recursion G_1 = F_1, G_j = int f_j G_(j-1)
+def _chain(grid, components):
+    # C_m(t) = P(x_1 <= ... <= x_m < t) at every grid point, m = 1..K in turn,
+    # with its slope in the grid coordinate (None for C_1 = F_1), by C_m = int
+    # f_m C_(m-1).  Call under np.errstate(all="ignore")
     us, xs, log_jacobian = grid
+    c = np.asarray(components[0].cdf(xs), dtype=float)
+    yield c, None
+    for dist in components[1:]:
+        slope = np.exp(dist.log_pdf(xs) + log_jacobian) * c
+        c = _cumulative(slope, us)
+        yield c, slope
+
+
+def _cone_mass(grid, components):
+    # P(x_1 <= ... <= x_K), the last chain at the last grid point
     with np.errstate(all="ignore"):
-        g = np.asarray(components[0].cdf(xs), dtype=float)
-        for dist in components[1:]:
-            g = _cumulative(np.exp(dist.log_pdf(xs) + log_jacobian) * g, us)
-    return float(g[-1])
+        for c, _ in _chain(grid, components):
+            pass
+    return float(c[-1])
+
+
+# a window's end this near a grid point, in steps, is that point: nearer, the
+# rounding of the slopes spoils the quadrature.  An end at most _NEAR cells
+# above its window's start joins the grid, so that the chains' difference over
+# the window comes from the quadrature's own steps
+_SNAP = 1e-9
+_NEAR = 16
+
+
+def _window_cone(grid, others, epsilon):
+    # q(y) = P(y <= x_2 <= ... <= x_K < y + eps) at each grid point y.  Split
+    # at the first coordinate not below y: T_j(y, z) = P(y <= x_j <= ... <= x_K
+    # < z) = C_(j..K)(z) - sum_(m > j) C_(j..m-1)(y) T_m(y, z), T_(K+1) = 1, and
+    # q = T_2(y, y + eps).  The chains C_(j..m) run from F_j on the grid merged
+    # with the ends z (cut at the last grid point); a far z reads the cubic
+    # through its cell's values and slopes
+    us, xs, log_jacobian = grid
+    log_x = others[0].support[0] == 0.0
+    z = np.minimum(np.log(xs + epsilon) if log_x else xs + epsilon, us[-1])
+    cell = np.minimum(np.searchsorted(us, z, side="right") - 1, us.size - 2)
+    step = us[cell + 1] - us[cell]
+    t = (z - us[cell]) / step
+    lower, upper = t <= _SNAP, t >= 1.0 - _SNAP
+    z = np.where(lower, us[cell], np.where(upper, us[cell + 1], z))
+    near = cell <= np.arange(us.size) + _NEAR
+    added, far = (np.flatnonzero(where & ~lower & ~upper) for where in (near, ~near))
+    merged = np.sort(np.concatenate([us, z[added]]))
+    iy = np.searchsorted(merged, us)
+    iz = np.where(upper, iy[cell + 1], iy[cell])
+    iz[added] = np.searchsorted(merged, z[added])
+    a, b, t, h = iy[cell[far]], iy[cell[far] + 1], t[far], step[far]
+    chain_grid = (merged, np.exp(merged) if log_x else merged, merged if log_x else 0.0)
+    with np.errstate(all="ignore"):
+        tails = [_window_mass(others[-1], xs, np.exp(z) if log_x else z), 1.0]
+        for start in range(len(others) - 2, -1, -1):
+            tail = 0.0
+            for (c, slope), later in zip(_chain(chain_grid, others[start:]), tails):
+                tail = tail - c[iy] * later
+            at_z = c[iz]
+            at_z[far] = (c[a] + t * t * (3.0 - 2.0 * t) * (c[b] - c[a])
+                         + h * t * (1.0 - t) * ((1.0 - t) * slope[a] - t * slope[b]))
+            tails.insert(0, tail + at_z)
+    return tails[0]
 
 
 def _keep_probability(grid, group, epsilon, cone):
     # P_keep, the share of an ordered group's rows the band keeps: int f_1 q
     # / P(cone) on the grid, q(y) = P(y <= x_2 <= ... <= x_K < y + eps) for
     # independent x_j, and P(cone) = 1 for an identical group, whose sorted
-    # rows give K int f W^(K-1) at once; at K = 2, q is a window mass.  From
-    # K = 3, where y + eps reaches the last grid point, q is the upper cone
-    # P(y <= x_2 <= ... <= x_K), from the cone recursion run down from the
-    # top; below, the recursion runs inside each window, on _INNER_STEPS
-    # steps per eighth of the narrowest of x_2..x_K's grid bounds (at least
-    # _INNER_STEPS, at most _INNER_MAX_STEPS), in blocks of about
-    # _INNER_POINTS points
+    # rows give K int f W^(K-1) at once; q is a window mass at K = 2
     first, *others = group.components
     us, xs, log_jacobian = grid
     with np.errstate(all="ignore"):
@@ -381,29 +425,8 @@ def _keep_probability(grid, group, epsilon, cone):
         elif len(others) == 1:
             q = _window_mass(others[0], xs, xs + epsilon)
         else:
-            q = 1.0 - np.asarray(others[-1].cdf(xs), dtype=float)
-            for dist in reversed(others[:-1]):
-                g = np.exp(dist.log_pdf(xs) + log_jacobian) * q
-                q = _cumulative(g[::-1], -us[::-1])[::-1]
-            eighth = min(hi - lo for lo, hi in map(_x_bounds, others)) / 8.0
-            steps = int(min(max(math.ceil(_INNER_STEPS * epsilon / eighth), _INNER_STEPS),
-                            _INNER_MAX_STEPS))
-            below = int(np.searchsorted(xs + epsilon, xs[-1]))
-            for start in range(0, below, max(1, _INNER_POINTS // steps)):
-                y = xs[start:min(below, start + max(1, _INNER_POINTS // steps))]
-                q[start:start + y.size] = _window_cone_mass(others, y, epsilon, steps)
+            q = _window_cone(grid, others, epsilon)
         return float(_cumulative(np.exp(first.log_pdf(xs) + log_jacobian) * q, us)[-1]) / cone
-
-
-def _window_cone_mass(others, y, width, steps):
-    # P(y <= x_2 <= ... <= x_K < y + width) at each y, by the cone recursion
-    # on `steps` steps of the window
-    t = width * np.linspace(0.0, 1.0, steps + 1)
-    s = y[:, None] + t
-    q = np.ones(s.shape)
-    for dist in others:
-        q = _cumulative(_density(dist, s) * q, t)
-    return q[:, -1]
 
 
 def _multiplicities(factors):
@@ -459,8 +482,8 @@ class _Thinning(NamedTuple):
     the ``factors`` ``(F, c, lo, hi)``, one uniform ``u`` per factor and
     ``c`` a bound on the factor's window masses.  ``inner`` components are
     then drawn inside ``[x, x + width)`` and the candidate is kept if they
-    come out in order.  ``keep`` is None where each stream draws a binomial
-    count of candidates at ``rate``.  Else ``rate`` passed 1: each stream
+    come out in order.  ``keep`` is None where the check draws a binomial
+    count of candidates at ``rate``.  Else ``rate`` passed 1: the check
     draws its kept count at ``keep`` and candidates until it is reached, and
     the candidates come from an ``envelope`` on the quadrature's grid,
     whose cells bound the window masses' product each on its own.
@@ -618,9 +641,8 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     Draws the K-vector from the (possibly ordered) group, keeps draws with
     ``max_i |tau_i| < epsilon`` (``epsilon > 0``, possibly infinite; a NaN
     is refused) and KS-tests the retained first coordinate against
-    ``claimed``.  ``rng`` may be a single generator or a sequence of
-    independent generators; with a sequence the draws are partitioned evenly
-    across the streams and the retained samples are pooled before the test.
+    ``claimed``.  ``rng`` is one ``np.random.Generator``; anything else
+    raises :class:`TypeError`.
 
     The band is thinned exactly, not drawn row by row.  Given ``x_1``, a
     plain group's row lies in the band with probability ``q(x_1) = prod_j
@@ -628,7 +650,7 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     mass of ``F_j``'s heaviest window of width ``2 eps``: every family is
     unimodal, so that window starts in ``[mode_j - 2 eps, mode_j]``, and 64
     steps over that interval bound it to within the mass of one step.  So
-    each stream draws a candidate count ``M ~ Binomial(n, prod_j c_j)``, draws
+    the check draws a candidate count ``M ~ Binomial(n, prod_j c_j)``, draws
     ``x_1`` for the candidates only, and keeps a candidate when ``u_j c_j <
     F_j(x_1 + eps) - F_j(x_1 - eps)`` for every factor, with one uniform per
     factor, drawn for the candidates the factors before it kept.  The kept
@@ -661,7 +683,7 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     order.  A rate over ``max(32, K)`` candidates per draw raises
     :class:`InsufficientRetentionError`: the cone then holds less than 1/32
     of the product, which rejection sampling the cone refused too (1e6
-    proposals per 32,768 rows).  Where the rate passes 1, each stream instead
+    proposals per 32,768 rows).  Where the rate passes 1, the check instead
     draws its kept count ``N ~ Binomial(n, P_keep)``, ``P_keep = int f_1 q /
     P(cone)`` with ``q(y) = P(y <= x_2 <= ... <= x_K < y + eps)`` from the
     same quadrature, then candidates until ``N`` are kept, and cuts the kept
@@ -671,23 +693,22 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     the cell, from the CDF at the cell's ends, then ``x_1`` uniform in the
     cell, kept with ``f_1`` over the cell's greatest and with ``prod_j W_j``
     over the cell's bound, a test the cell's lower bound settles where it
-    can.  A candidate then stands for ``K' total /
-    P(cone)`` rows, ``total`` the envelope's mass and ``K' = K`` for the
-    minimum of an identical group (else 1), and few candidates are needed
-    per kept draw whatever K and ``eps``.  The first coordinates are drawn
-    on the grid's range, as the quadrature counts them.  Seeded reports of
-    heterogeneous ordered groups, and of identical ordered ones past rate 1,
-    changed when they came onto this path; before, they drew whole ordered
-    rows.
+    can.  A candidate then stands for ``K' total / P(cone)`` rows, ``total``
+    the envelope's mass and ``K' = K`` for the minimum of an identical group
+    (else 1), and few candidates are needed per kept draw whatever K and
+    ``eps``.  The first coordinates are drawn on the grid's range, as the
+    quadrature counts them.  From K = 3, ``q`` comes from the cone's
+    recursion run from each ``F_j`` on the grid merged with the windows'
+    ends, split at the first coordinate not below ``y``.
 
-    A stream's count comes from ``stream.spawn(1)[0]``; its candidates then
-    come in chunks of ``_CHUNK`` (8,192), and chunk j of ``n_chunks`` draws
-    from ``stream.spawn(n_chunks)[j]``.  On the kept-count route they come in
-    full chunks, each from the next ``stream.spawn(1)[0]``, until ``N`` are
-    kept.  So the call advances each stream's spawn counter by the chunks it
-    used, not its bit generator.  The chunks run in order on the calling
-    thread and one chunk is in memory at a time; a seeded report depends on
-    the chunk sizes.  Only the retained first coordinates outlive a chunk.
+    The count comes from ``rng.spawn(1)[0]``; the candidates then come in
+    chunks of ``_CHUNK`` (8,192), and chunk j of ``n_chunks`` draws from
+    ``rng.spawn(n_chunks)[j]``.  On the kept-count route they come in full
+    chunks, each from the next ``rng.spawn(1)[0]``, until ``N`` are kept.  So
+    the call advances the generator's spawn counter by the chunks it used,
+    not its bit generator.  The chunks run in order on the calling thread
+    and one chunk is in memory at a time; a seeded report depends on the
+    chunk sizes.  Only the retained first coordinates outlive a chunk.
     """
     epsilon = float(epsilon)
     n_draws = int(n_draws)
@@ -700,14 +721,9 @@ def mc_conditional_check(group: MixturePriorGroup, claimed: DistSpec, epsilon: f
     if group.k < 2:
         raise ValueError("need a group with K >= 2 components")
 
-    streams = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if not streams:
-        raise ValueError("need at least one generator")
-    share, remainder = divmod(n_draws, len(streams))
-    thinning = _thinning(group, epsilon)
-    retained = np.concatenate([
-        _stream_share(group, thinning, share + (1 if i < remainder else 0), stream)
-        for i, stream in enumerate(streams)])
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+    retained = _stream_share(group, _thinning(group, epsilon), n_draws, rng)
     n_retained = int(retained.size)
     if n_retained < _MIN_KS_SAMPLES:
         raise InsufficientRetentionError(

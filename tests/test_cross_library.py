@@ -262,3 +262,35 @@ def test_ordered_band_quadrature_matches_scipy(components, epsilon, digits):
     assert cone == pytest.approx(ref_cone, rel=1e-10)
     assert keep == pytest.approx(ref_keep / ref_cone, rel=1e-10)
     assert (round(cone, 7), round(keep, 7)) == digits
+
+
+# (components, ordered band half-width, P(keep)): bands on which the window
+# quadrature must hold at any component width and any K.  The triple's x_2 is
+# a thousand times narrower than the others: its references are a scipy
+# quadrature whose outer integral runs over x_2, int f_2(s) int_(s-eps)^s f_1(y)
+# [F_3(y + eps) - F_3(s)] dy ds, over P(cone) = int f_2 F_1 (1 - F_3).  The
+# gamma quadruple's int f_1 q comes from nested 80-point Gauss-Legendre rules
+# over the window and a Simpson rule in log x outside, converged to 15 digits
+# (0.02047364970007228 at eps 2, 3.0171524574293084e-07 at eps 0.05), over
+# P(cone) = 0.1191878554589
+_NARROW_TRIPLE = [NormalVar(0.0, 1.0), NormalVar(1.0, 1e-6), NormalVar(2.0, 1.0)]
+_GAMMA_QUADRUPLE = [Gamma(2.0, 1.0), Gamma(3.0, 2.0), Gamma(4.0, 1.5), Gamma(2.5, 0.8)]
+WINDOW_CASES = {
+    "narrow-middle-wide-band": (_NARROW_TRIPLE, 10.0, 0.9999999891),
+    "narrow-middle": (_NARROW_TRIPLE, 3.0, 0.6653707536),
+    "gamma-quadruple": (_GAMMA_QUADRUPLE, 2.0, 0.1717763074202),
+    "gamma-quadruple-narrow-band": (_GAMMA_QUADRUPLE, 0.05, 2.531426080e-6),
+}
+
+
+@pytest.mark.parametrize("components, epsilon, p_keep", WINDOW_CASES.values(),
+                         ids=WINDOW_CASES.keys())
+def test_ordered_band_windows_match_scipy_at_any_width(components, epsilon, p_keep):
+    # P(keep) = int f_1 q / P(cone), q(y) = P(y <= x_2 <= ... <= x_K < y + eps),
+    # at 1e-9 absolute
+    from mixprior import verify
+
+    group = MixturePriorGroup(components=tuple(components), ordered=True)
+    grid = verify._grid(group.components, epsilon)
+    cone = verify._cone_mass(grid, group.components)
+    assert verify._keep_probability(grid, group, epsilon, cone) == pytest.approx(p_keep, abs=1e-9)

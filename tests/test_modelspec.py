@@ -36,7 +36,7 @@ def test_parse_nested_document(ar2_doc):
     assert model.eta_prior is None
     assert model.scalar_prior("phi1") == NormalPrec(0.5, 4.0)
     assert model.scalar_prior("nope") is None
-    assert model.ordering_constraint is None
+    assert not any(group.ordered for group in model.groups.values())
 
 
 def test_empty_document_gives_diagnostics_not_a_crash():
@@ -240,7 +240,7 @@ row = dirichlet(d=[1.0, 1.0])
 """
     model = parse_model(base)
     assert model.eta_prior == (Dirichlet((1.0, 1.0)),)
-    assert model.ordering_constraint.group_label == "mu"
+    assert model.groups["mu"].ordered
     with pytest.raises(ModelFormatError):
         parse_model(base + "row = dirichlet(d=[1.0, 1.0])\n")
 

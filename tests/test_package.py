@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
         "reverse_equal_gamma", "reverse_equal_invgamma", "reverse_equal_normal",
     ],
     "constraints": [
-        "CompanionMatrix", "ConfigurationError", "OrderingConstraint", "ParameterDraw",
+        "CompanionMatrix", "ConfigurationError", "ParameterDraw",
         "RejectionCapError", "StationarityProblem",
         "StationarityResult", "build_p2", "companion_spectral_radius",
         "is_stationary_ar2", "is_stationary_msar2",
@@ -37,7 +37,6 @@ ALL_NAMES = [name for names in PUBLIC_NAMES.values() for name in names]
 
 # names defined in a numpy-free module and re-exported under their old module
 MOVED = [
-    ("OrderingConstraint", "constraints", "modelspec"),
     ("REGULARITY_KINDS", "constraints", "modelspec"),
     ("RejectionCapError", "constraints", "errors"),
     ("ConfigurationError", "constraints", "errors"),
