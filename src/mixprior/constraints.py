@@ -13,16 +13,18 @@ the band of 1 is flagged ``boundary``.
 
 The rejection sampler draws and checks candidates in blocks of arrays: one
 sized draw per prior, one regularity mask per block and, for switching
-models, one batched eigensolve over the stack of block matrices.  Its
-acceptance rate is ``n`` over the candidates up to and including the n-th
-accepted one, so the rate keeps its negative-binomial law whatever the
-block sizes were.
+models, one batched linear solve over the stack of second-moment maps on
+symmetric 2x2 matrices (the coupled Lyapunov criterion), which decides
+``rho < 1`` without a radius.  Its acceptance rate is ``n`` over the
+candidates up to and including the n-th accepted one, so the rate keeps its
+negative-binomial law whatever the block sizes were.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -269,13 +271,17 @@ class ParameterDraw:
 
 
 # working-set budget of one sampler block: with the estimate of _block_cap, a
-# block of 8x8 stationarity matrices (K = 2) holds at most ~1200 candidates,
-# one of 12x12 matrices (K = 3) ~600
+# switching block at K = 2 holds at most ~1200 candidates, one at K = 3 ~600
 _BLOCK_BYTES = 1 << 20
 
 
 def _block_cap(model: "ModelSpec") -> int:
-    """Most candidates per block: the budget over a candidate's bytes, drawn and checked."""
+    """Most candidates per block: the budget over a candidate's bytes, drawn and checked.
+
+    The block sizes decide how the generator's stream is split between the
+    priors (each block draws ``m`` values of one prior, then of the next), so
+    the draws stay the same only while this estimate does.
+    """
     values = len(model.delta_priors) + sum(row.dim for row in model.eta_prior or ())
     for group in model.groups.values():
         # a heterogeneous ordered group's batch proposes at most four rows per
@@ -285,7 +291,8 @@ def _block_cap(model: "ModelSpec") -> int:
     if model.regularity == "ar2_stationarity":
         values += 12  # temporaries of the closed-form companion radius
     elif model.regularity == "msar2_stationarity":
-        # Kronecker squares, the 4K x 4K stack, its finiteness mask and eigenvalues
+        # more than the 3K x 3K solve holds (a 4K x 4K eigensolve's working
+        # set); kept, because a smaller estimate would split the stream anew
         values += 20 * model.k * model.k + 8 * model.k
     return max(1, _BLOCK_BYTES // (8 * values))
 
@@ -358,16 +365,69 @@ def _p2_stack(p: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     return stack.reshape(m, 4 * k, 4 * k)
 
 
+def _second_moment_stack(p: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """``(m, 3K, 3K)`` second-moment maps from ``p`` ``(m, K, K)`` and ``phi`` ``(m, K)``.
+
+    The map ``T(S)_r = Phi_r (sum_c p[c, r] S_c) Phi_r'`` acts on K symmetric
+    2x2 matrices, each held as ``(s11, 2 s12, s22)``; block (r, c) is
+    ``p[c, r] A_r``.  Doubling the middle coordinate puts the factor 2 on
+    ``phi1``, so an entry overflows exactly where one of ``_p2_stack`` does.
+    """
+    m, k = phi1.shape
+    maps = np.zeros((m, k, 3, 3))
+    # huge phi overflow to inf or nan here; the mask rejects non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps[..., 0, 0] = phi1 * phi1
+        maps[..., 0, 1] = phi1 * phi2
+        maps[..., 0, 2] = phi2 * phi2
+        maps[..., 1, 0] = 2.0 * phi1
+        maps[..., 1, 1] = phi2
+        maps[..., 2, 0] = 1.0
+        # stack[m, r, a, c, b] = p[m, c, r] * maps[m, r, a, b]
+        stack = p.transpose(0, 2, 1)[:, :, None, :, None] * maps[:, :, :, None, :]
+    return stack.reshape(m, 3 * k, 3 * k)
+
+
+def _contracting(maps: np.ndarray) -> np.ndarray:
+    """Which second-moment maps ``(m, 3K, 3K)`` have spectral radius below 1.
+
+    T maps positive semidefinite tuples to positive semidefinite ones, so
+    rho(T) < 1 exactly when ``(I - T) X = (I, ..., I)`` has a solution whose
+    every 2x2 block is positive definite (the coupled Lyapunov criterion for
+    Markov jump linear systems).  A singular ``I - T`` has the eigenvalue 1
+    and is rejected; numpy refuses a stack that holds one, so that stack is
+    solved one map at a time.
+    """
+    m, n = maps.shape[:2]
+    identity = np.tile([1.0, 0.0, 1.0], n // 3)
+    lyapunov = np.eye(n) - maps
+    try:
+        x = np.linalg.solve(lyapunov, identity)
+    except np.linalg.LinAlgError:
+        x = np.full((m, n), np.nan)
+        for i in range(m):
+            try:
+                x[i] = np.linalg.solve(lyapunov[i], identity)
+            except np.linalg.LinAlgError:
+                pass
+    s11, s12, s22 = x.reshape(m, n // 3, 3).transpose(2, 0, 1)
+    # s12 is held doubled: s11 s22 > s12^2 reads 4 s11 s22 > (2 s12)^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((s11 > 0.0) & (4.0 * s11 * s22 > s12 * s12)).all(axis=1)
+
+
 def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarray:
     """Which of the block's ``m`` candidates satisfy the model's regularity constraint.
 
     Membership is tested in [0, 1): the constrained statistic is the AR(2)
-    companion radius for nested and intermediate models and the block-matrix
-    radius, from one ``spectral_radius`` call on the stack, for fully
-    switching models.  Random continuous draws give a defective matrix with
-    probability zero, so the eigenvalues are accurate to rounding and the
-    mask leaves out the accuracy band of ``is_stationary_msar2``: the two
-    disagree only on draws within a few ulps of rho = 1.
+    companion radius for nested and intermediate models and, for fully
+    switching models, the radius of the second-moment map, whose block-matrix
+    form ``build_p2`` holds.  That one is decided without a radius, by one
+    batched 3K x 3K solve over the block (``_contracting``), and a non-finite
+    entry raises ``ValueError`` as ``spectral_radius`` does.  The mask leaves
+    out the accuracy band of ``is_stationary_msar2``: random continuous draws
+    give a defective matrix with probability zero, and the two disagree only
+    on draws within rounding of rho = 1.
     """
     kind = model.regularity
     if kind == "none":
@@ -382,22 +442,29 @@ def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarra
             raise ConfigurationError(
                 "msar2_stationarity needs a markov_switching model with transition rows"
             )
-        stack = _p2_stack(block.eta, _values_by_regime(model, block, "phi1", k),
-                          _values_by_regime(model, block, "phi2", k))
-        return spectral_radius(stack) < 1.0
+        maps = _second_moment_stack(block.eta, _values_by_regime(model, block, "phi1", k),
+                                    _values_by_regime(model, block, "phi2", k))
+        return _contracting(_square_finite(maps))
     raise ConfigurationError(f"unknown regularity kind {kind!r}")
 
 
+def _records(keys: list, columns: list, n: int):
+    """``n`` dicts, the i-th from ``keys`` to the i-th entry of each column, with no Python loop."""
+    rows = zip(*columns) if columns else repeat((), n)
+    return map(dict, map(zip, repeat(keys), rows))
+
+
 def _unstack(block: ParameterDraw, rows: np.ndarray) -> list[ParameterDraw]:
-    delta = {name: values[rows].tolist() for name, values in block.delta.items()}
-    groups = {label: values[rows] for label, values in block.groups.items()}
-    eta = None if block.eta is None else block.eta[rows]
-    return [
-        ParameterDraw(delta={name: values[i] for name, values in delta.items()},
-                      groups={label: values[i] for label, values in groups.items()},
-                      eta=None if eta is None else eta[i])
-        for i in range(len(rows))
-    ]
+    """The block's candidates at ``rows`` as draws, each value sliced once for all of them.
+
+    Common parameters become Python floats; group vectors and transition
+    matrices stay numpy rows of the block's slices.
+    """
+    n = len(rows)
+    deltas = _records(list(block.delta), [v[rows].tolist() for v in block.delta.values()], n)
+    groups = _records(list(block.groups), [list(v[rows]) for v in block.groups.values()], n)
+    etas = repeat(None, n) if block.eta is None else list(block.eta[rows])
+    return list(map(ParameterDraw, deltas, groups, etas))
 
 
 def sample_constrained_priors(model: "ModelSpec", n: int, rng: np.random.Generator,

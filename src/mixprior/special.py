@@ -18,13 +18,12 @@ __all__ = ["reg_lower_incomplete_gamma", "standard_normal_cdf"]
 _EPS = 1e-15
 _TINY = 1e-300
 
-_erf = np.vectorize(math.erf, otypes=[float])
-
 
 def standard_normal_cdf(z):
     """CDF of the standard normal; accepts scalars or arrays."""
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
+    x = np.asarray(z, dtype=float) / math.sqrt(2.0)
+    erf = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    out = 0.5 * (1.0 + erf)
     return float(out) if out.ndim == 0 else out
 
 

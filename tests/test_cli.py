@@ -1,5 +1,6 @@
 """Command-line surface tests: exit codes, determinism, help texts."""
 
+import hashlib
 import json
 import math
 import os
@@ -219,6 +220,31 @@ def test_sample_is_reproducible(model_paths, capsys):
     assert len(payload["draws"]) == 3
     assert 0.0 < payload["acceptance_rate"] <= 1.0
 
+
+
+# sha256 of seeded `sample` stdout, recorded before the switching mask moved
+# from the eigensolve to the Lyapunov solve.  Both n are past _block_cap's
+# block (1213 candidates at K = 2, 582 at K = 3), so the draws span blocks.
+SAMPLE_STDOUT_SHA256 = {
+    ("msiah2_ar2", "1500", "machine"):
+        "5e4ed3f8cff0e30529f0fb773b35ba4c0081a03151a974a6a9f2457211c39c95",
+    ("msiah2_ar2", "1500", "human"):
+        "9e0f856b940d5ba93a8215aab28de5ff7145e0b0e7ce4f84e6941f41c5d7d0d6",
+    ("ar2_k3", "600", "machine"):
+        "136c6ef19ba1f4b53d4843ea4d3bc9c7694a4b72ec0662f40cdea5473daef5f4",
+}
+
+
+def test_seeded_sample_stdout_is_pinned(tmp_path, capsys):
+    ar2 = mixprior.parse_model((DEMO_MODELS / "ar2.model").read_text(encoding="utf-8"))
+    paths = {"msiah2_ar2": DEMO_MODELS / "msiah2_ar2.model", "ar2_k3": tmp_path / "ar2_k3.model"}
+    paths["ar2_k3"].write_text(mixprior.format_model(mixprior.build_family_model(ar2, 3)),
+                               encoding="utf-8")
+    for (name, n, fmt), digest in SAMPLE_STDOUT_SHA256.items():
+        argv = ["sample", "--model", str(paths[name]), "--n", n, "--seed", "3", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)
 
 def test_sample_writes_infinite_draws_as_strict_json_null(tmp_path, capsys):
     # about half the draws of inv_gamma(a=0.001) overflow 1 / gamma to infinity

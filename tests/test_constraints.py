@@ -545,6 +545,72 @@ def test_sampler_mask_agrees_with_the_stationarity_verdict():
         assert not any(v.boundary for v in verdicts)
 
 
+
+def _switching_block(p, phi1, phi2):
+    return ParameterDraw(delta={}, groups={"phi1": phi1, "phi2": phi2}, eta=p)
+
+
+def test_switching_mask_equals_the_block_matrix_radius_verdict():
+    # the Lyapunov solve decides rho < 1 of the 4K x 4K block matrix: on 1e5
+    # random draws, and on draws rescaled to within 1e-9..1e-3 of rho = 1
+    # (phi1 -> s phi1, phi2 -> s^2 phi2 makes each companion similar to
+    # s Phi_r by one common diagonal matrix, so the block matrix is similar to
+    # s^2 times itself)
+    from mixprior.constraints import _p2_stack
+
+    rng = np.random.default_rng(SEED + 15)
+    for k, m in ((2, 60_000), (3, 25_000), (4, 15_000)):
+        model = msar2_model(k=k)
+        for _ in range(m // 5000):
+            p, phi1, phi2 = _random_switching_block(rng, k, 5000)
+            radius = spectral_radius(_p2_stack(p, phi1, phi2))
+            mask = _regular_mask(model, _switching_block(p, phi1, phi2), 5000)
+            assert np.array_equal(mask, radius < 1.0)
+            assert 0.3 < mask.mean() < 0.7
+        p, phi1, phi2 = _random_switching_block(rng, k, 3000)
+        radius = spectral_radius(_p2_stack(p, phi1, phi2))
+        target = 1.0 + rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-9.0, -3.0, 3000)
+        s = np.sqrt(target / np.where(radius > 0.0, radius, 1.0))[:, None]
+        phi1, phi2 = s * phi1, s * s * phi2
+        radius = spectral_radius(_p2_stack(p, phi1, phi2))
+        near = (radius > 0.0) & (np.abs(radius - 1.0) <= 1.001e-3)
+        assert near.sum() > 2900 and np.all(np.abs(radius[near] - 1.0) > 0.99e-9)
+        mask = _regular_mask(model, _switching_block(p, phi1, phi2), 3000)
+        assert np.array_equal(mask[near], radius[near] < 1.0)
+        assert 0.3 < mask[near].mean() < 0.7
+
+
+def test_switching_mask_rejects_a_singular_candidate_and_keeps_its_block():
+    # p = I with phi = (1, 0) in both regimes has rho = 1 exactly, so I - T is
+    # singular and numpy refuses the batched solve of the whole stack
+    from mixprior.constraints import _p2_stack, _second_moment_stack
+
+    p = np.array([[[1.0, 0.0], [0.0, 1.0]], np.full((2, 2), 0.5)])
+    phi1, phi2 = np.array([[1.0, 1.0], [0.2, 0.1]]), np.zeros((2, 2))
+    assert spectral_radius(_p2_stack(p, phi1, phi2))[0] == 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(6) - _second_moment_stack(p, phi1, phi2), np.ones(6))
+    assert _regular_mask(msar2_model(), _switching_block(p, phi1, phi2), 2).tolist() == [False, True]
+
+
+def test_switching_mask_raises_on_non_finite_entries_as_the_radius_does():
+    # phi = 1e154 squares to 1e308, within range: rejected, as the radius
+    # (1e308) rejects it; phi = 1e155 overflows the block matrix and the mask
+    from mixprior.constraints import _p2_stack
+
+    p = np.full((1, 2, 2), 0.5)
+    for phi, finite in ((1e154, True), (1e155, False)):
+        phi1 = phi2 = np.full((1, 2), phi)
+        block = _switching_block(p, phi1, phi2)
+        if finite:
+            assert spectral_radius(_p2_stack(p, phi1, phi2))[0] > 1.0
+            assert _regular_mask(msar2_model(), block, 1).tolist() == [False]
+        else:
+            for call in (lambda: spectral_radius(_p2_stack(p, phi1, phi2)),
+                         lambda: _regular_mask(msar2_model(), block, 1)):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    call()
+
 @pytest.mark.parametrize("n", [1, 3, 1000])
 def test_sampler_counts_no_candidate_after_the_last_accepted(n):
     draws, rate = sample_constrained_priors(ar2_model(regularity="none"), n,

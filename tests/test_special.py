@@ -72,3 +72,22 @@ def test_standard_normal_cdf_basics():
     arr = standard_normal_cdf(np.array([-50.0, 0.0, 50.0]))
     assert arr[0] == pytest.approx(0.0, abs=1e-15)
     assert arr[2] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("z", [
+    0.3,
+    np.array(-1.7),
+    np.array([]),
+    np.array([[-2.0, -0.0, 0.5], [1e-300, 8.0, -40.0]]),
+    np.array([np.inf, -np.inf, np.nan]),
+], ids=["scalar", "0-d", "empty", "2-d", "inf-nan"])
+def test_standard_normal_cdf_is_math_erf_bit_for_bit(z):
+    x = np.asarray(z, dtype=float) / math.sqrt(2.0)
+    expected = np.array([0.5 * (1.0 + math.erf(v)) for v in x.ravel().tolist()]).reshape(x.shape)
+    out = standard_normal_cdf(z)
+    if x.ndim == 0:
+        assert type(out) is float
+        assert out.hex() == float(expected).hex()
+    else:
+        assert out.shape == x.shape and out.dtype == float
+        assert out.tobytes() == expected.tobytes()
