@@ -402,7 +402,8 @@ def _contracting(maps: np.ndarray) -> np.ndarray:
     identity = np.tile([1.0, 0.0, 1.0], n // 3)
     lyapunov = np.eye(n) - maps
     try:
-        x = np.linalg.solve(lyapunov, identity)
+        # an (m, n, 1) right-hand side is a stack of columns under numpy 1 and 2 alike
+        x = np.linalg.solve(lyapunov, np.broadcast_to(identity[:, None], (m, n, 1)))[..., 0]
     except np.linalg.LinAlgError:
         x = np.full((m, n), np.nan)
         for i in range(m):

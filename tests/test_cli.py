@@ -221,7 +221,6 @@ def test_sample_is_reproducible(model_paths, capsys):
     assert 0.0 < payload["acceptance_rate"] <= 1.0
 
 
-
 # sha256 of seeded `sample` stdout, recorded before the switching mask moved
 # from the eigensolve to the Lyapunov solve.  Both n are past _block_cap's
 # block (1213 candidates at K = 2, 582 at K = 3), so the draws span blocks.
@@ -245,6 +244,7 @@ def test_seeded_sample_stdout_is_pinned(tmp_path, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)
+
 
 def test_sample_writes_infinite_draws_as_strict_json_null(tmp_path, capsys):
     # about half the draws of inv_gamma(a=0.001) overflow 1 / gamma to infinity

@@ -545,7 +545,6 @@ def test_sampler_mask_agrees_with_the_stationarity_verdict():
         assert not any(v.boundary for v in verdicts)
 
 
-
 def _switching_block(p, phi1, phi2):
     return ParameterDraw(delta={}, groups={"phi1": phi1, "phi2": phi2}, eta=p)
 
@@ -588,8 +587,7 @@ def test_switching_mask_rejects_a_singular_candidate_and_keeps_its_block():
     p = np.array([[[1.0, 0.0], [0.0, 1.0]], np.full((2, 2), 0.5)])
     phi1, phi2 = np.array([[1.0, 1.0], [0.2, 0.1]]), np.zeros((2, 2))
     assert spectral_radius(_p2_stack(p, phi1, phi2))[0] == 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.eye(6) - _second_moment_stack(p, phi1, phi2), np.ones(6))
+    assert np.linalg.matrix_rank(np.eye(6) - _second_moment_stack(p, phi1, phi2)[0]) < 6
     assert _regular_mask(msar2_model(), _switching_block(p, phi1, phi2), 2).tolist() == [False, True]
 
 
@@ -610,6 +608,7 @@ def test_switching_mask_raises_on_non_finite_entries_as_the_radius_does():
                          lambda: _regular_mask(msar2_model(), block, 1)):
                 with pytest.raises(ValueError, match="matrix entries must be finite"):
                     call()
+
 
 @pytest.mark.parametrize("n", [1, 3, 1000])
 def test_sampler_counts_no_candidate_after_the_last_accepted(n):
