@@ -2,9 +2,22 @@
 
 The regularized lower incomplete gamma function is evaluated with the
 classic two-regime scheme: a power series for ``x < shape + 1`` and a
-Lentz continued fraction for the complement otherwise.  Both routines
-iterate to machine precision, which keeps the absolute error comfortably
-below 1e-12 over the hyperparameter ranges this package works with.
+Lentz continued fraction otherwise.  Each call runs one iteration count on
+the whole array, set by the precision ``_EPS`` (1e-15) rather than by
+testing every element after every step:
+
+- the series takes the fewest ``n`` steps with
+  ``prod_{j<=n} max(x) / (shape + j) <= _EPS``; past them every term left
+  is below ``_EPS`` times the first term, and so below ``_EPS`` times the sum;
+- the continued fraction steps until ``|delta - 1| < _EPS`` at the smallest
+  ``x``, where it converges slowest, and then until every element passes.
+
+Against ``scipy.special.gammainc``, with ``x`` on both sides of
+``shape + 1``, the absolute error stays below 1e-13 for shapes up to 100,
+2e-12 up to 1e3 and 2e-11 up to 1e4 (``tests/test_cross_library.py`` holds
+it to these bounds).  It grows with the shape through the prefactor
+``x^shape e^{-x} / Gamma(shape)``, to about 2e-10 at a shape of 1e5 and up
+to 1.4e-7 at 1e7 and 2.5e-6 at 1e9 (within 8 standard deviations of the mean).
 """
 
 from __future__ import annotations
@@ -16,7 +29,6 @@ import numpy as np
 __all__ = ["reg_lower_incomplete_gamma", "standard_normal_cdf"]
 
 _EPS = 1e-15
-_TINY = 1e-300
 
 
 def standard_normal_cdf(z):
@@ -56,47 +68,61 @@ def _log_prefactor(a, x):
 
 
 def _series(a, x):
-    # P(a,x) = x^a e^{-x} / Gamma(a) * sum_{n>=0} x^n / (a (a+1) ... (a+n))
+    # P(a,x) = x^a e^{-x} / Gamma(a) * sum_{n>=0} x^n / (a (a+1) ... (a+n)), whose
+    # terms fall for x < a + 1: run the step count of the module docstring's bound
     if x.size == 0:
         return x.copy()
+    x_max = float(x.max())
+    max_iter = max(600, int(3.0 * a) + 100)
+    steps, bound = 0, 1.0
+    while bound > _EPS:
+        if steps == max_iter:
+            raise RuntimeError(f"incomplete gamma series failed to converge for shape={a}")
+        steps += 1
+        bound *= x_max / (a + steps)
     term = np.full(x.shape, 1.0 / a)
     total = term.copy()
-    ap = a
-    max_iter = max(600, int(3.0 * a) + 100)
-    for _ in range(max_iter):
-        ap += 1.0
-        term = term * (x / ap)
+    for n in range(1, steps + 1):
+        term *= x
+        term *= 1.0 / (a + n)
         total += term
-        if np.all(term <= total * _EPS):
-            break
-    else:
-        raise RuntimeError(f"incomplete gamma series failed to converge for shape={a}")
     with np.errstate(invalid="ignore"):
         result = np.exp(_log_prefactor(a, x) + np.log(total))
     return np.where(x > 0.0, result, 0.0)
 
 
 def _continued_fraction(a, x):
-    # Q(a,x) via Lentz's algorithm; entered only for x >= a + 1 > 1
+    # Q(a,x) via Lentz's algorithm; entered only for x >= a + 1, where no
+    # denominator comes near 0 (test_special pins their moduli >= 1), so the
+    # recurrence needs no guard. It converges slowest at the smallest x (others
+    # within a few steps, by rounding), so the whole array is tested only from
+    # the step at which that element has converged
     if x.size == 0:
         return x.copy()
-    b = x + 1.0 - a
-    c = np.full(x.shape, 1.0 / _TINY)
-    d = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
+    b = (x - a) + 1.0
+    c = np.full(x.shape, np.inf)  # so that the first step gives c_1 = b_1
+    d = 1.0 / b
     h = d.copy()
+    delta = np.empty_like(x)
+    slowest = int(np.argmin(x))
     max_iter = max(600, int(4.0 * math.sqrt(float(np.max(x)))) + 100)
     for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < _EPS):
+        _lentz_step(a, i, b, c, d)
+        np.multiply(d, c, out=delta)
+        h *= delta
+        if abs(delta[slowest] - 1.0) < _EPS and np.all(np.abs(delta - 1.0) < _EPS):
             break
     else:
         raise RuntimeError(f"incomplete gamma continued fraction failed to converge for shape={a}")
     return np.exp(_log_prefactor(a, x)) * h
+
+
+def _lentz_step(a, i, b, c, d):
+    # advance b, c and d = 1 / D in place from step i - 1 to step i
+    an = -i * (i - a)
+    b += 2.0
+    d *= an
+    d += b
+    np.divide(an, c, out=c)
+    c += b
+    np.divide(1.0, d, out=d)

@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from mixprior import (Dirichlet, Gamma, InvGamma, MixturePriorGroup, NormalPrec, NormalVar,
                       coherent_product, mc_conditional_check)
+from mixprior.special import reg_lower_incomplete_gamma
 
 SEED = 1234
 
@@ -81,6 +82,32 @@ def test_invgamma_sampler_matches_scipy_distribution():
     theirs = stats.invgamma(3.0, scale=2.0).rvs(size=50_000, random_state=rng)
     stat, pvalue = stats.ks_2samp(ours, theirs)
     assert pvalue > 0.001, (stat, pvalue)
+
+
+# (lowest shape, highest shape, absolute bound): the error grows with the shape
+# through the prefactor x^a e^-x / Gamma(a)
+INCGAMMA_BANDS = [(1e-3, 1e2, 1e-13), (1e2, 1e3, 2e-12), (1e3, 1e4, 2e-11)]
+
+
+@pytest.mark.parametrize("lo, hi, bound", INCGAMMA_BANDS)
+def test_incomplete_gamma_matches_scipy_alone_and_in_a_batch(lo, hi, bound):
+    # each point alone, then inside one 32,768-point batch that spans both
+    # regimes far past it: a step count taken from the wrong extreme of a batch
+    # leaves the batch's points short of convergence
+    rng = np.random.default_rng(SEED + 6)
+    for shape in np.exp(rng.uniform(math.log(lo), math.log(hi), 8)):
+        sd = math.sqrt(shape)
+        xs = np.concatenate([
+            [0.0, 1e-300, shape + 1.0, shape + 1.0 + 1e-12, shape + 1.0 - 1e-12],
+            np.maximum(shape + sd * np.linspace(-8.0, 8.0, 9), 0.0),
+            shape * np.array([1e-6, 1e-2, 0.5, 2.0, 10.0]),
+        ])
+        want = special.gammainc(shape, xs)
+        alone = np.array([reg_lower_incomplete_gamma(shape, float(x)) for x in xs])
+        filler = rng.uniform(0.0, 2.0, 32_768 - xs.size) * (shape + 10.0 * sd + 10.0)
+        batch = reg_lower_incomplete_gamma(shape, np.concatenate([xs, filler]))[:xs.size]
+        assert np.max(np.abs(alone - want)) <= bound, shape
+        assert np.max(np.abs(batch - want)) <= bound, shape
 
 
 # (family, component hyperparameter pairs): the gamma and inverse gamma

@@ -91,3 +91,26 @@ def test_standard_normal_cdf_is_math_erf_bit_for_bit(z):
     else:
         assert out.shape == x.shape and out.dtype == float
         assert out.tobytes() == expected.tobytes()
+
+
+def test_lentz_denominators_keep_a_modulus_of_at_least_one_above_the_split(monkeypatch):
+    # _continued_fraction runs Lentz's recurrence with no guard against a zero
+    # denominator; that holds because for x >= shape + 1 the starting b and every
+    # D_i = b_i + a_i / D_(i-1) and C_i = b_i + a_i / C_(i-1) stay at modulus >= 1
+    from mixprior import special
+
+    step, seen = special._lentz_step, {"steps": 0, "low": math.inf}
+
+    def checked_step(a, i, b, c, d):
+        seen["low"] = min(seen["low"], float(np.min(np.abs(b))))
+        step(a, i, b, c, d)
+        seen["steps"] += 1
+        seen["low"] = min(seen["low"], float(np.min(np.abs(c))), float(np.min(1.0 / np.abs(d))))
+
+    monkeypatch.setattr(special, "_lentz_step", checked_step)
+    rng = np.random.default_rng(47)
+    for shape in np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 300)):
+        xs = (shape + 1.0) * np.array([1.0, 1.0 + 1e-12, 1.001, 1.1, 2.0, 10.0, 1e4])
+        reg_lower_incomplete_gamma(shape, xs)
+    assert seen["steps"] > 0
+    assert seen["low"] >= 1.0
