@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Second-order stationarity for switching AR(2) models.
 
-A sufficient condition: the spectral radius of a 4K x 4K block matrix, built
-from the transition probabilities and the Kronecker squares of the per-regime
+A sufficient condition: the spectral radius of the second-moment map, a
+3K x 3K matrix built from the transition probabilities and the per-regime
 companion matrices, stays below one.  When all regimes share one companion
 matrix the criterion collapses to the familiar single-regime condition.
 """
@@ -24,19 +24,20 @@ for dwell in (0.05, 0.6, 0.95):
           f"rho = {result.rho:.4f} -> {'stationary' if result.stationary else 'NOT stationary'}")
 
 # --- collapse to the single-regime condition -------------------------------------
+# the verdict takes equal regimes in closed form; the map's own eigensolve
+# shows the identity it rests on
 phi = mp.CompanionMatrix(0.5, 0.3)
 rho_companion = mp.spectral_radius(phi.as_array())
 p = np.array([[0.9, 0.1], [0.1, 0.9]])
-result = mp.is_stationary_msar2(mp.StationarityProblem(p=p, regimes=(phi, phi)))
-print()
-print(f"equal regimes: block radius {result.rho:.10f} vs companion radius "
-      f"squared {rho_companion**2:.10f}")
-
-# the block matrix itself factorizes in that case
 problem = mp.StationarityProblem(p=p, regimes=(phi, phi))
-block = np.kron(phi.as_array(), phi.as_array())
-print("block matrix equals kron(P.T, kron(Phi, Phi)):",
-      bool(np.array_equal(mp.build_p2(problem), np.kron(p.T, block))))
+print()
+print(f"equal regimes: map radius {mp.spectral_radius(mp.second_moment_map(problem)):.10f} "
+      f"vs companion radius squared {rho_companion**2:.10f}")
+
+# the map itself factorizes in that case, A being the map of one regime
+single = mp.second_moment_map(mp.StationarityProblem(p=np.ones((1, 1)), regimes=(phi,)))
+print("second-moment map equals kron(P.T, A):",
+      bool(np.array_equal(mp.second_moment_map(problem), np.kron(p.T, single))))
 
 # --- prior mass of the stationarity region ---------------------------------------
 # rejection sampling from a constrained prior reports its acceptance rate,

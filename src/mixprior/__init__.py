@@ -25,9 +25,9 @@ _SUBMODULE_NAMES = {
         "reverse_equal_gamma", "reverse_equal_invgamma", "reverse_equal_normal",
     ),
     "constraints": (
-        "CompanionMatrix", "ParameterDraw", "StationarityProblem", "build_p2",
-        "companion_spectral_radius", "is_stationary_ar2", "is_stationary_msar2",
-        "sample_constrained_priors", "sample_ordered", "spectral_radius",
+        "CompanionMatrix", "ParameterDraw", "StationarityProblem", "companion_spectral_radius",
+        "is_stationary_msar2", "sample_constrained_priors", "sample_ordered",
+        "second_moment_map", "spectral_radius",
     ),
     "distributions": ("Dirichlet", "DistSpec", "Gamma", "InvGamma", "NormalPrec", "NormalVar"),
     "errors": ("ConfigurationError", "GridCoverageError", "InsufficientRetentionError",

@@ -22,7 +22,7 @@ from .errors import (ConfigurationError, GridCoverageError, InsufficientRetentio
                      RejectionCapError)
 from .modelspec import ModelFormatError, ModelSpec, format_dist, format_model, parse_dist, parse_model
 from .plan import CoherencePlan, PlanError, build_family_model, check_plan, derive_pairings
-from .reports import canonical_json, json_number, to_human, to_machine
+from .reports import canonical_json, emit_report, json_number
 
 if TYPE_CHECKING:
     from .constraints import StationarityProblem
@@ -33,7 +33,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-# largest K that `stationarity --model` checks: its 4K x 4K matrix is then 8 MiB
+# largest K that `stationarity --model` checks: its 3K x 3K second-moment map is 4.5 MiB
 MAX_STATIONARITY_K = 256
 
 # `verify` keeps its arrays within 2 GiB.  The grid oracle holds about 64 bytes
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
                                           n_draws=args.n_draws, rng=rng,
                                           alpha=args.ks_alpha)
         all_passed = all_passed and report.passed
-        outputs.append(to_machine(report) if args.format == "machine" else to_human(report))
+        outputs.append(emit_report(report, args.format))
     _emit(args, "\n".join(outputs))
     return EXIT_OK if all_passed else EXIT_FAIL
 
@@ -187,7 +187,7 @@ def _cmd_check_plan(args) -> int:
     plan = CoherencePlan(nested=nested, general=general,
                          pairings=derive_pairings(nested, general))
     report = check_plan(plan, tol=args.tol)
-    _emit(args, to_machine(report) if args.format == "machine" else to_human(report))
+    _emit(args, emit_report(report, args.format))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -208,8 +208,8 @@ def _problem_from_model(model: ModelSpec) -> StationarityProblem:
 
     # evaluate the regularity statistic at the prior mean point
     if model.k > MAX_STATIONARITY_K:
-        raise _InputError(f"model.k: the stationarity check builds a 4K x 4K matrix and takes "
-                          f"K <= {MAX_STATIONARITY_K}, got k = {model.k}")
+        raise _InputError(f"model.k: the stationarity check builds a 3K x 3K second-moment "
+                          f"map and takes K <= {MAX_STATIONARITY_K}, got k = {model.k}")
     def regime_means(name: str) -> np.ndarray:
         group = model.groups.get(name)
         if group is not None:
@@ -248,7 +248,7 @@ def _cmd_stationarity(args) -> int:
     else:
         raise _InputError("give --model or explicit --p/--phi matrices")
     result = is_stationary_msar2(problem)
-    _emit(args, to_machine(result) if args.format == "machine" else to_human(result))
+    _emit(args, emit_report(result, args.format))
     return EXIT_OK if result.stationary else EXIT_FAIL
 
 

@@ -3,21 +3,24 @@
 Covers the nondecreasing ordering constraint (weak inequalities, so the
 equal-components diagonal stays inside the constrained support), the
 second-order stationarity check for Markov-switching AR(2) models through
-the block matrix built from transition probabilities and squared companion
-matrices, and rejection sampling from constrained priors.
+the second-moment map built from transition probabilities and the
+companion matrices, and rejection sampling from constrained priors.
 
-Every radius but the closed-form AR(2) companion radius comes from one
-eigensolve: ``spectral_radius`` on a matrix or a stack, and for the verdicts
-one with eigenvectors, which also gives its accuracy band; a radius within
-the band of 1 is flagged ``boundary``.
+Every switching-AR(2) answer reads the one second-moment map on symmetric
+2x2 matrices (``second_moment_map``, a 3K x 3K matrix).  The verdict takes
+its radius from one eigensolve with eigenvectors, which also gives its
+accuracy band, except with all regimes equal: the radius is then the
+squared companion radius in closed form, exact at the double roots where an
+eigensolve loses half its digits.  A radius within the band of 1 is flagged
+``boundary``.
 
 The rejection sampler draws and checks candidates in blocks of arrays: one
 sized draw per prior, one regularity mask per block and, for switching
-models, one batched linear solve over the stack of second-moment maps on
-symmetric 2x2 matrices (the coupled Lyapunov criterion), which decides
-``rho < 1`` without a radius.  Its acceptance rate is ``n`` over the
-candidates up to and including the n-th accepted one, so the rate keeps its
-negative-binomial law whatever the block sizes were.
+models, one batched linear solve over the stack of second-moment maps (the
+coupled Lyapunov criterion), which decides ``rho < 1`` without a radius.
+Its acceptance rate is ``n`` over the candidates up to and including the
+n-th accepted one, so the rate keeps its negative-binomial law whatever the
+block sizes were.
 """
 
 from __future__ import annotations
@@ -41,11 +44,10 @@ __all__ = [
     "RejectionCapError",
     "ConfigurationError",
     "sample_ordered",
-    "build_p2",
+    "second_moment_map",
     "spectral_radius",
     "companion_spectral_radius",
     "is_stationary_msar2",
-    "is_stationary_ar2",
     "sample_constrained_priors",
 ]
 
@@ -157,15 +159,14 @@ class StationarityProblem:
         return self.p.shape[0]
 
 
-def build_p2(problem: StationarityProblem) -> np.ndarray:
-    """Assemble the 4K x 4K stationarity matrix.
+def second_moment_map(problem: StationarityProblem) -> np.ndarray:
+    """The 3K x 3K second-moment map of the problem; see ``_second_moment_stack``.
 
-    Row-block r (destination regime) and column-block c (source regime) hold
-    ``p[c, r] * kron(Phi_r, Phi_r)``; with all regimes equal this reduces to
-    ``kron(p.T, kron(Phi, Phi))``.
+    With all regimes equal it is ``kron(p.T, A)``, A the map of one regime,
+    so its radius is ``rho(A) = rho(Phi)^2`` for any stochastic ``p``.
     """
     phi = np.array([[reg.phi1, reg.phi2] for reg in problem.regimes])
-    return _p2_stack(problem.p[None], phi[None, :, 0], phi[None, :, 1])[0]
+    return _second_moment_stack(problem.p[None], phi[None, :, 0], phi[None, :, 1])[0]
 
 
 def _square_finite(a) -> np.ndarray:
@@ -231,29 +232,36 @@ def companion_spectral_radius(phi1, phi2):
     return float(out) if out.ndim == 0 else out
 
 
+def _collapse_radius_and_band(phi1: float, phi2: float) -> tuple[float, float]:
+    """``rho(Phi)^2`` in closed form, and how far rounding may move it from the exact one.
+
+    The discriminant's rounding moves its square root by at most
+    ``sqrt(|disc| + delta) - sqrt(|disc|)``, which is ``sqrt(delta)`` at a
+    double root and ``delta / (2 sqrt|disc|)`` away from one.
+    """
+    eps = float(np.finfo(float).eps)
+    root = companion_spectral_radius(phi1, phi2)
+    disc = abs(phi1 * phi1 + 4.0 * phi2)
+    delta = 4.0 * eps * (phi1 * phi1 + 4.0 * abs(phi2))
+    move = (math.sqrt(disc + delta) - math.sqrt(disc)) / 2.0 + 2.0 * eps * root
+    return root * root, 2.0 * root * move + 2.0 * eps * root * root
+
+
 def is_stationary_msar2(problem: StationarityProblem) -> StationarityResult:
-    """Sufficient second-order stationarity check: rho of the block matrix < 1, outside the band."""
-    rho, band = _radius_and_band(build_p2(problem))
+    """Sufficient second-order stationarity check: rho of the second-moment map < 1, off the band.
+
+    Non-finite map entries raise ``ValueError``.  With all regimes equal the
+    radius is ``rho(Phi)^2`` whatever ``p``, taken in closed form; otherwise
+    it comes from one eigensolve of the map.
+    """
+    maps = _square_finite(second_moment_map(problem))
+    first = problem.regimes[0]
+    if all(regime == first for regime in problem.regimes):
+        rho, band = _collapse_radius_and_band(first.phi1, first.phi2)
+    else:
+        rho, band = _radius_and_band(maps)
     boundary = abs(rho - 1.0) <= band
     return StationarityResult(stationary=rho < 1.0 and not boundary, rho=rho, boundary=boundary)
-
-
-def is_stationary_ar2(phi1: float, phi2: float) -> bool:
-    """AR(2) stationarity via the companion spectral radius.
-
-    Cross-checked against the stationarity-triangle inequalities; genuine
-    disagreement outside the solver's accuracy band signals a numerical bug.
-    """
-    phi1, phi2 = float(phi1), float(phi2)
-    rho, band = _radius_and_band(CompanionMatrix(phi1, phi2).as_array())
-    by_radius = rho < 1.0
-    by_triangle = (phi2 > -1.0) and (phi1 + phi2 < 1.0) and (phi2 - phi1 < 1.0)
-    if by_radius != by_triangle and abs(rho - 1.0) > band:
-        raise AssertionError(
-            f"stationarity checks disagree at phi=({phi1}, {phi2}): "
-            f"rho={rho!r} vs triangle={by_triangle}"
-        )
-    return by_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +299,8 @@ def _block_cap(model: "ModelSpec") -> int:
     if model.regularity == "ar2_stationarity":
         values += 12  # temporaries of the closed-form companion radius
     elif model.regularity == "msar2_stationarity":
-        # more than the 3K x 3K solve holds (a 4K x 4K eigensolve's working
-        # set); kept, because a smaller estimate would split the stream anew
+        # more than the 3K x 3K solve holds: kept only for the stream split,
+        # which a smaller estimate would make anew
         values += 20 * model.k * model.k + 8 * model.k
     return max(1, _BLOCK_BYTES // (8 * values))
 
@@ -342,36 +350,13 @@ def _values_by_regime(model: "ModelSpec", block: ParameterDraw, name: str, k: in
     raise ConfigurationError(f"model {model.name!r} does not define parameter {name!r}")
 
 
-def _p2_stack(p: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    """``(m, 4K, 4K)`` stationarity matrices from ``p`` ``(m, K, K)`` and ``phi`` ``(m, K)``.
-
-    Block (r, c) is ``p[c, r] * kron(Phi_r, Phi_r)``, each entry the product
-    ``p * (a * b)`` as ``np.kron`` and a scalar multiple compute it.  The
-    products are broadcast rather than summed by ``einsum``, whose zero
-    start would turn a ``-0.0`` entry into ``+0.0``.
-    """
-    m, k = phi1.shape
-    companion = np.zeros((m, k, 2, 2))
-    companion[..., 0, 0] = phi1
-    companion[..., 0, 1] = phi2
-    companion[..., 1, 0] = 1.0
-    # huge phi overflow to inf or nan here; the radius rejects non-finite entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        # squares[m, r, i, k, j, l] = Phi_r[i, j] * Phi_r[k, l], i.e. kron(Phi_r, Phi_r)
-        squares = companion[:, :, :, None, :, None] * companion[:, :, None, :, None, :]
-        squares = squares.reshape(m, k, 4, 1, 4)
-        # stack[m, r, a, c, b] = p[m, c, r] * squares[m, r, a, b]
-        stack = p.transpose(0, 2, 1)[:, :, None, :, None] * squares
-    return stack.reshape(m, 4 * k, 4 * k)
-
-
 def _second_moment_stack(p: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     """``(m, 3K, 3K)`` second-moment maps from ``p`` ``(m, K, K)`` and ``phi`` ``(m, K)``.
 
     The map ``T(S)_r = Phi_r (sum_c p[c, r] S_c) Phi_r'`` acts on K symmetric
     2x2 matrices, each held as ``(s11, 2 s12, s22)``; block (r, c) is
     ``p[c, r] A_r``.  Doubling the middle coordinate puts the factor 2 on
-    ``phi1``, so an entry overflows exactly where one of ``_p2_stack`` does.
+    ``phi1``, which overflows only where ``phi1 * phi1`` already does.
     """
     m, k = phi1.shape
     maps = np.zeros((m, k, 3, 3))
@@ -422,13 +407,13 @@ def _regular_mask(model: "ModelSpec", block: ParameterDraw, m: int) -> np.ndarra
 
     Membership is tested in [0, 1): the constrained statistic is the AR(2)
     companion radius for nested and intermediate models and, for fully
-    switching models, the radius of the second-moment map, whose block-matrix
-    form ``build_p2`` holds.  That one is decided without a radius, by one
-    batched 3K x 3K solve over the block (``_contracting``), and a non-finite
-    entry raises ``ValueError`` as ``spectral_radius`` does.  The mask leaves
-    out the accuracy band of ``is_stationary_msar2``: random continuous draws
-    give a defective matrix with probability zero, and the two disagree only
-    on draws within rounding of rho = 1.
+    switching models, the radius of the second-moment map that
+    ``is_stationary_msar2`` reads.  That one is decided without a radius, by
+    one batched 3K x 3K solve over the block (``_contracting``), and a
+    non-finite entry raises ``ValueError`` as ``spectral_radius`` does.  The
+    mask leaves out the verdict's accuracy band: random continuous draws give
+    a double companion root or a defective map with probability zero, and the
+    two disagree only on draws within rounding of rho = 1.
     """
     kind = model.regularity
     if kind == "none":

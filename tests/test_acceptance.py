@@ -21,7 +21,6 @@ from mixprior import (
     NormalPrec,
     NormalVar,
     StationarityProblem,
-    build_p2,
     coherent_family,
     coherent_gamma_forward,
     coherent_invgamma_forward,
@@ -36,6 +35,7 @@ from mixprior import (
     reverse_equal_invgamma,
     reverse_equal_normal,
     sample_constrained_priors,
+    second_moment_map,
     spectral_radius,
     verify_product_coherence,
 )
@@ -171,13 +171,13 @@ def test_criterion_05_spectral_collapse_identity():
                 break
         regime = CompanionMatrix(phi1, phi2)
         problem = StationarityProblem(p=p, regimes=(regime,) * k)
-        rho_block = spectral_radius(build_p2(problem))
+        rho_map = spectral_radius(second_moment_map(problem))
         rho_companion = spectral_radius(regime.as_array())
-        worst = max(worst, abs(rho_block - rho_companion ** 2))
+        worst = max(worst, abs(rho_map - rho_companion ** 2))
     oracle = (0.5 + math.sqrt(1.45)) / 2.0
     companion_err = abs(spectral_radius(CompanionMatrix(0.5, 0.3).as_array()) - oracle)
     elapsed = time.perf_counter() - start
-    _verdict(5, "block-matrix radius collapses to the squared companion radius",
+    _verdict(5, "second-moment map radius collapses to the squared companion radius",
              worst <= 1e-8 and companion_err <= 1e-10 and elapsed < 10.0,
              f"worst collapse error {worst:.2e}, companion error {companion_err:.2e}, "
              f"{elapsed:.1f}s")
@@ -214,8 +214,8 @@ def test_criterion_06_spectral_radius_vs_independent_radii():
             a, oracle = _known_spectrum_matrix(rng)
             case = "known spectrum"
         else:
-            # switching-AR(2) block matrices with mixed-sign coefficients, whose
-            # radius the closed-form companion radius gives
+            # switching-AR(2) second-moment maps with mixed-sign coefficients,
+            # whose radius the closed-form companion radius gives
             k = int(rng.integers(1, 6))
             regimes = tuple(CompanionMatrix(float(rng.uniform(-1.5, 1.5)),
                                             float(rng.uniform(-1.0, 1.0)))
@@ -227,7 +227,7 @@ def test_criterion_06_spectral_radius_vs_independent_radii():
                 # equal regimes: rho = rho(Phi)^2 whatever the transition matrix
                 p, case = rng.dirichlet(np.ones(k), size=k), "collapse"
                 regimes = (regimes[0],) * k
-            a = build_p2(StationarityProblem(p=p, regimes=regimes))
+            a = second_moment_map(StationarityProblem(p=p, regimes=regimes))
             oracle = max(companion_spectral_radius(r.phi1, r.phi2) for r in regimes) ** 2
         worst[case] = max(worst[case], abs(spectral_radius(a) - oracle))
     _verdict(6, "eigensolver radius vs independent radii on 200 signed matrices",

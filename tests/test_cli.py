@@ -188,7 +188,7 @@ def test_stationarity_of_four_identical_defective_regimes_exits_zero(capsys):
                "--phi", ";".join(["1.8,-0.81"] * 4), "--format", "machine"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert abs(payload["rho"] - 0.81) <= 1e-4
+    assert abs(payload["rho"] - 0.81) <= 1e-12
     assert payload["stationary"] is True and payload["boundary"] is False
 
 

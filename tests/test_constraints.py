@@ -1,6 +1,7 @@
 """Ordering and stationarity constraint tests with independent matrix oracles."""
 
 import math
+from decimal import Decimal, localcontext
 from statistics import NormalDist
 
 import numpy as np
@@ -16,15 +17,14 @@ from mixprior import (
     ParameterDraw,
     RejectionCapError,
     StationarityProblem,
-    build_p2,
     companion_spectral_radius,
-    is_stationary_ar2,
     is_stationary_msar2,
     sample_constrained_priors,
     sample_ordered,
+    second_moment_map,
     spectral_radius,
 )
-from mixprior.constraints import _regular_mask
+from mixprior.constraints import _collapse_radius_and_band, _regular_mask
 from mixprior.verify import ks_critical_value, ks_statistic
 from mixprior.special import standard_normal_cdf
 
@@ -173,7 +173,45 @@ def test_sample_ordered_cap_exhaustion():
 
 
 # ---------------------------------------------------------------------------
-# companion / block matrix construction
+# companion, second-moment map and reference block matrix construction
+
+
+def _p2_stack(p, phi1, phi2):
+    """``(m, 4K, 4K)`` block matrices from ``p`` ``(m, K, K)`` and ``phi`` ``(m, K)``.
+
+    Block (r, c) is ``p[c, r] * kron(Phi_r, Phi_r)``: the second-moment
+    recursion on all 2x2 matrices, vectorised, whose radius is the map's;
+    kept as the independent reference for the map and its mask.  Each entry is the product
+    ``p * (a * b)`` as ``np.kron`` and a scalar multiple compute it.
+    """
+    m, k = phi1.shape
+    companion = np.zeros((m, k, 2, 2))
+    companion[..., 0, 0] = phi1
+    companion[..., 0, 1] = phi2
+    companion[..., 1, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # squares[m, r, i, k, j, l] = Phi_r[i, j] * Phi_r[k, l], i.e. kron(Phi_r, Phi_r)
+        squares = companion[:, :, :, None, :, None] * companion[:, :, None, :, None, :]
+        squares = squares.reshape(m, k, 4, 1, 4)
+        # stack[m, r, a, c, b] = p[m, c, r] * squares[m, r, a, b]
+        stack = p.transpose(0, 2, 1)[:, :, None, :, None] * squares
+    return stack.reshape(m, 4 * k, 4 * k)
+
+
+def _p2(problem):
+    phi = np.array([[reg.phi1, reg.phi2] for reg in problem.regimes])
+    return _p2_stack(problem.p[None], phi[None, :, 0], phi[None, :, 1])[0]
+
+
+def _loop_p2(p, regimes):
+    # the per-regime loop the batched builder replaced, kept as the reference
+    k = p.shape[0]
+    out = np.zeros((4 * k, 4 * k))
+    for r, (phi1, phi2) in enumerate(regimes):
+        companion = np.array([[phi1, phi2], [1.0, 0.0]])
+        for c in range(k):
+            out[4 * r:4 * r + 4, 4 * c:4 * c + 4] = p[c, r] * np.kron(companion, companion)
+    return out
 
 
 def test_companion_second_row_is_fixed():
@@ -197,7 +235,7 @@ def test_build_p2_single_state_is_kron_square():
     phi = CompanionMatrix(0.5, 0.3)
     problem = StationarityProblem(p=np.ones((1, 1)), regimes=(phi,))
     expected = np.kron(phi.as_array(), phi.as_array())
-    assert np.array_equal(build_p2(problem), expected)
+    assert np.array_equal(_p2(problem), expected)
 
 
 def test_build_p2_equal_regimes_is_kron_identity():
@@ -207,14 +245,37 @@ def test_build_p2_equal_regimes_is_kron_identity():
         phi = CompanionMatrix(-0.3, 0.25)
         problem = StationarityProblem(p=p, regimes=(phi,) * k)
         block = np.kron(phi.as_array(), phi.as_array())
-        assert np.array_equal(build_p2(problem), np.kron(p.T, block))
+        assert np.array_equal(_p2(problem), np.kron(p.T, block))
 
 
 def test_build_p2_zero_coefficients_gives_zero_radius():
     rng = np.random.default_rng(SEED + 2)
     p = random_stochastic(rng, 3)
     problem = StationarityProblem(p=p, regimes=(CompanionMatrix(0.0, 0.0),) * 3)
-    assert spectral_radius(build_p2(problem)) == pytest.approx(0.0, abs=1e-12)
+    assert spectral_radius(_p2(problem)) == pytest.approx(0.0, abs=1e-12)
+    assert spectral_radius(second_moment_map(problem)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_second_moment_map_single_state_acts_on_symmetric_matrices():
+    # T(S) = Phi S Phi' on S held as (s11, 2 s12, s22)
+    phi = CompanionMatrix(0.5, -0.3)
+    a = second_moment_map(StationarityProblem(p=np.ones((1, 1)), regimes=(phi,)))
+    rng = np.random.default_rng(SEED + 16)
+    for _ in range(20):
+        s11, s12, s22 = rng.normal(size=3)
+        image = phi.as_array() @ np.array([[s11, s12], [s12, s22]]) @ phi.as_array().T
+        held = a @ np.array([s11, 2.0 * s12, s22])
+        assert np.allclose(held, [image[0, 0], 2.0 * image[0, 1], image[1, 1]], atol=1e-14)
+
+
+def test_second_moment_map_equal_regimes_is_kron_identity():
+    rng = np.random.default_rng(SEED + 1)
+    phi = CompanionMatrix(-0.3, 0.25)
+    single = second_moment_map(StationarityProblem(p=np.ones((1, 1)), regimes=(phi,)))
+    for k in (2, 3, 5):
+        p = random_stochastic(rng, k)
+        problem = StationarityProblem(p=p, regimes=(phi,) * k)
+        assert np.array_equal(second_moment_map(problem), np.kron(p.T, single))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +346,19 @@ def test_msar2_mixed_regimes_against_dense_oracle():
     p = np.array([[0.05, 0.95], [0.9, 0.1]])
     problem = StationarityProblem(p=p, regimes=(explosive, tame))
     result = is_stationary_msar2(problem)
-    oracle = float(np.max(np.abs(np.linalg.eigvals(build_p2(problem)))))
+    oracle = float(np.max(np.abs(np.linalg.eigvals(_p2(problem)))))
     assert result.rho == pytest.approx(oracle, abs=1e-8)
     assert result.stationary == (oracle < 1.0)
 
 
+def _ar2_stationary(phi1, phi2):
+    return companion_spectral_radius(phi1, phi2) < 1.0
+
+
 def test_ar2_examples():
-    assert is_stationary_ar2(0.5, 0.3)
-    assert not is_stationary_ar2(0.0, 1.0)
-    assert not is_stationary_ar2(1.2, 0.0)
+    assert _ar2_stationary(0.5, 0.3)
+    assert not _ar2_stationary(0.0, 1.0)
+    assert not _ar2_stationary(1.2, 0.0)
 
 
 def test_ar2_agrees_with_triangle_on_random_points():
@@ -301,7 +366,7 @@ def test_ar2_agrees_with_triangle_on_random_points():
     for _ in range(500):
         phi1, phi2 = rng.uniform(-2.5, 2.5, size=2)
         triangle = (phi2 > -1.0) and (phi1 + phi2 < 1.0) and (phi2 - phi1 < 1.0)
-        assert is_stationary_ar2(phi1, phi2) == triangle
+        assert _ar2_stationary(phi1, phi2) == triangle
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +379,7 @@ def test_double_companion_root_gives_the_collapse_radius(p):
     # x^2 - 1.8x + 0.81 = (x - 0.9)^2, so with equal regimes rho = 0.9^2
     phi = CompanionMatrix(1.8, -0.81)
     result = is_stationary_msar2(StationarityProblem(p=np.array(p), regimes=(phi, phi)))
-    assert result.rho == pytest.approx(0.81, abs=1e-4)
+    assert result.rho == pytest.approx(0.81, abs=1e-12)
     assert result.stationary and not result.boundary
 
 
@@ -323,6 +388,7 @@ def test_double_unit_root_is_boundary_not_stationary(p):
     # x^2 - 2x + 1 = (x - 1)^2: the radius is exactly 1 on a defective matrix
     phi = CompanionMatrix(2.0, -1.0)
     result = is_stationary_msar2(StationarityProblem(p=np.array(p), regimes=(phi,) * len(p)))
+    assert result.rho == 1.0
     assert not result.stationary
     assert result.boundary
 
@@ -331,11 +397,11 @@ def test_double_unit_root_is_boundary_not_stationary(p):
                          ids=["identity4", "identity8", "uniform6"])
 @pytest.mark.parametrize("phi", [(0.7, 0.0), (1.8, -0.81)])
 def test_repeated_eigenvalues_do_not_widen_the_band(p, phi):
-    # equal regimes, so rho = rho_companion^2 < 1; the block matrix holds K
-    # copies of it (identity p) or 4K - 1 zeros (uniform p), none a unit root
+    # equal regimes, so rho = rho_companion^2 < 1; the map holds K copies of
+    # it (identity p) or 3K - 3 zeros (uniform p), none a unit root
     regime = CompanionMatrix(*phi)
     result = is_stationary_msar2(StationarityProblem(p=p, regimes=(regime,) * len(p)))
-    assert result.rho == pytest.approx(companion_spectral_radius(*phi) ** 2, abs=1e-4)
+    assert result.rho == pytest.approx(companion_spectral_radius(*phi) ** 2, abs=1e-12)
     assert result.stationary and not result.boundary
 
 
@@ -345,20 +411,66 @@ def _triangle(phi1, phi2):
 
 @pytest.mark.parametrize("phi1", [1.99999, -1.99999])
 def test_ar2_near_double_unit_root_agrees_with_triangle(phi1):
-    assert is_stationary_ar2(phi1, -0.99999) == _triangle(phi1, -0.99999)
+    assert _ar2_stationary(phi1, -0.99999) == _triangle(phi1, -0.99999)
 
 
 def test_ar2_cross_check_never_raises_near_double_unit_roots():
-    # roots r1, r2 within 1e-3 of +-1 on either side; the radius is 1 to the
-    # accuracy of the eigensolve, and the cross-check must tolerate exactly that
+    # roots r1, r2 within 1e-3 of +-1 on either side; the closed-form radius
+    # is 1 to rounding there, and agrees with the triangle wherever it is not
     rng = np.random.default_rng(SEED + 12)
     for _ in range(3000):
         sign = rng.choice([-1.0, 1.0])
         r1, r2 = 1.0 + 10.0 ** rng.uniform(-16, -3, size=2) * rng.choice([-1.0, 1.0], size=2)
         phi1, phi2 = sign * (r1 + r2), -r1 * r2
-        verdict = is_stationary_ar2(phi1, phi2)
         if abs(companion_spectral_radius(phi1, phi2) - 1.0) > 1e-6:
-            assert verdict == _triangle(phi1, phi2)
+            assert _ar2_stationary(phi1, phi2) == _triangle(phi1, phi2)
+
+
+def _exact_collapse_radius(phi1, phi2):
+    # rho(Phi)^2 of the float coefficients, in 50-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b = Decimal(phi1), Decimal(phi2)
+        disc = a * a + 4 * b
+        if disc < 0:
+            return -b  # a complex pair, |lambda|^2 = -phi2
+        root = (abs(a) + disc.sqrt()) / 2
+        return root * root
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.999, 1.0])
+def test_collapse_band_covers_the_exact_radius_at_double_roots(r):
+    # x^2 - 2r x + r^2 = (x - r)^2: the closed form's band covers the exact
+    # radius, whatever K and p; a unit root is flagged boundary
+    phi1, phi2 = 2.0 * r, -r * r
+    rho, band = _collapse_radius_and_band(phi1, phi2)
+    assert abs(Decimal(rho) - _exact_collapse_radius(phi1, phi2)) <= Decimal(band)
+    for k in range(1, 9):
+        for p in (np.eye(k), np.full((k, k), 1.0 / k)):
+            result = is_stationary_msar2(StationarityProblem(
+                p=p, regimes=(CompanionMatrix(phi1, phi2),) * k))
+            assert result.rho == rho
+            assert result.boundary == (r == 1.0)
+            assert result.stationary == (r < 1.0)
+
+
+def test_collapse_band_covers_the_exact_radius_and_stays_tight():
+    # half the points near a double root, where the discriminant's rounding
+    # moves the radius by about sqrt(eps); away from one (|disc| > 1e-2) the
+    # band stays within 3.3e-14 of the radius up to rho = 1, and grows with
+    # the companion radius beyond
+    rng = np.random.default_rng(SEED + 17)
+    for i in range(4000):
+        if i % 2:
+            r, sign = rng.uniform(0.0, 1.2), rng.choice([-1.0, 1.0])
+            split = 10.0 ** rng.uniform(-17, -4) * rng.choice([-1.0, 1.0])
+            phi1, phi2 = float(sign * (2.0 * r + split)), float(-r * r)
+        else:
+            phi1, phi2 = rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5)
+        rho, band = _collapse_radius_and_band(phi1, phi2)
+        assert abs(Decimal(rho) - _exact_collapse_radius(phi1, phi2)) <= Decimal(band)
+        if abs(phi1 * phi1 + 4.0 * phi2) > 1e-2:
+            assert band <= 3.3e-14 * max(rho, rho * rho)
 
 
 def test_spectral_radius_of_a_stack_equals_the_per_matrix_radii():
@@ -368,21 +480,41 @@ def test_spectral_radius_of_a_stack_equals_the_per_matrix_radii():
     assert radii.shape == (3, 4)
     for index in np.ndindex(3, 4):
         assert radii[index] == spectral_radius(stack[index])
-    blocks = np.stack([
-        build_p2(StationarityProblem(p=random_stochastic(rng, 3), regimes=tuple(
+    maps = np.stack([
+        second_moment_map(StationarityProblem(p=random_stochastic(rng, 3), regimes=tuple(
             CompanionMatrix(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(3))))
         for _ in range(20)])
-    assert spectral_radius(blocks).tolist() == [spectral_radius(a) for a in blocks]
+    assert spectral_radius(maps).tolist() == [spectral_radius(a) for a in maps]
+
+
+def test_map_radius_matches_the_block_matrix_radius():
+    # the independent cross-check of criteria 5 and 6 at their 1e-8 bound:
+    # the 3K map and the 4K block matrix have one radius, which with equal
+    # regimes is the squared companion radius
+    rng = np.random.default_rng(SEED + 18)
+    for i in range(200):
+        k = int(rng.integers(1, 6))
+        regimes = tuple(CompanionMatrix(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(k))
+        if i % 2:
+            regimes = (regimes[0],) * k
+        problem = StationarityProblem(p=random_stochastic(rng, k), regimes=regimes)
+        rho = spectral_radius(second_moment_map(problem))
+        assert abs(rho - spectral_radius(_p2(problem))) <= 1e-8
+        if i % 2:
+            collapse = companion_spectral_radius(regimes[0].phi1, regimes[0].phi2) ** 2
+            assert abs(rho - collapse) <= 1e-8
 
 
 def test_verdict_radius_is_the_spectral_radius():
-    # the verdicts solve with eigenvectors, for the band; the radius is the same
+    # with unequal regimes the verdict solves the map with eigenvectors, for
+    # the band; the radius is the same
     rng = np.random.default_rng(SEED + 15)
-    for k in (1, 2, 3, 4):
+    for k in (2, 3, 4):
         for _ in range(25):
             problem = StationarityProblem(p=random_stochastic(rng, k), regimes=tuple(
                 CompanionMatrix(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(k)))
-            assert is_stationary_msar2(problem).rho == spectral_radius(build_p2(problem))
+            assert len(set(problem.regimes)) == k
+            assert is_stationary_msar2(problem).rho == spectral_radius(second_moment_map(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +611,6 @@ def test_sampler_cap_error_reports_diagnostics():
     assert err.value.attempts == 500
 
 
-def _loop_p2(p, regimes):
-    # the per-regime loop the batched builder replaced, kept as the reference
-    k = p.shape[0]
-    out = np.zeros((4 * k, 4 * k))
-    for r, (phi1, phi2) in enumerate(regimes):
-        companion = np.array([[phi1, phi2], [1.0, 0.0]])
-        for c in range(k):
-            out[4 * r:4 * r + 4, 4 * c:4 * c + 4] = p[c, r] * np.kron(companion, companion)
-    return out
-
-
 def _random_switching_block(rng, k, m):
     # transition rows with some zeros, regimes mixed-sign, a third of them pooled
     p = rng.dirichlet(np.ones(k), size=(m, k))
@@ -504,12 +625,13 @@ def _random_switching_block(rng, k, m):
 
 
 def test_batched_p2_stack_and_mask_match_per_draw_solves():
-    from mixprior.constraints import _p2_stack
+    from mixprior.constraints import _second_moment_stack
 
     rng = np.random.default_rng(SEED + 10)
     for k in (1, 2, 3, 4):
         p, phi1, phi2 = _random_switching_block(rng, k, 250)
         stack = _p2_stack(p, phi1, phi2)
+        maps = _second_moment_stack(p, phi1, phi2)
         assert stack.shape == (250, 4 * k, 4 * k)
         radius = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
         per_draw = np.empty(250)
@@ -517,8 +639,8 @@ def test_batched_p2_stack_and_mask_match_per_draw_solves():
             problem = StationarityProblem(
                 p=p[i], regimes=tuple(CompanionMatrix(a, b) for a, b in zip(phi1[i], phi2[i])))
             reference = _loop_p2(p[i], zip(phi1[i], phi2[i]))
-            assert np.array_equal(build_p2(problem), reference)
-            assert np.max(np.abs(stack[i] - build_p2(problem))) <= 1e-15
+            assert np.array_equal(stack[i], reference)
+            assert np.array_equal(second_moment_map(problem), maps[i])
             per_draw[i] = np.max(np.abs(np.linalg.eigvals(reference)))
         assert np.max(np.abs(radius - per_draw)) <= 1e-12
         assert 0 < np.count_nonzero(per_draw < 1.0) < 250
@@ -555,8 +677,6 @@ def test_switching_mask_equals_the_block_matrix_radius_verdict():
     # (phi1 -> s phi1, phi2 -> s^2 phi2 makes each companion similar to
     # s Phi_r by one common diagonal matrix, so the block matrix is similar to
     # s^2 times itself)
-    from mixprior.constraints import _p2_stack
-
     rng = np.random.default_rng(SEED + 15)
     for k, m in ((2, 60_000), (3, 25_000), (4, 15_000)):
         model = msar2_model(k=k)
@@ -582,7 +702,7 @@ def test_switching_mask_equals_the_block_matrix_radius_verdict():
 def test_switching_mask_rejects_a_singular_candidate_and_keeps_its_block():
     # p = I with phi = (1, 0) in both regimes has rho = 1 exactly, so I - T is
     # singular and numpy refuses the batched solve of the whole stack
-    from mixprior.constraints import _p2_stack, _second_moment_stack
+    from mixprior.constraints import _second_moment_stack
 
     p = np.array([[[1.0, 0.0], [0.0, 1.0]], np.full((2, 2), 0.5)])
     phi1, phi2 = np.array([[1.0, 1.0], [0.2, 0.1]]), np.zeros((2, 2))
@@ -594,8 +714,6 @@ def test_switching_mask_rejects_a_singular_candidate_and_keeps_its_block():
 def test_switching_mask_raises_on_non_finite_entries_as_the_radius_does():
     # phi = 1e154 squares to 1e308, within range: rejected, as the radius
     # (1e308) rejects it; phi = 1e155 overflows the block matrix and the mask
-    from mixprior.constraints import _p2_stack
-
     p = np.full((1, 2, 2), 0.5)
     for phi, finite in ((1e154, True), (1e155, False)):
         phi1 = phi2 = np.full((1, 2), phi)
@@ -693,7 +811,7 @@ def test_switching_sampler_acceptance_matches_plain_mc_mass():
         p = np.vstack([row.sample(rng) for row in model.eta_prior])
         problem = StationarityProblem(
             p=p, regimes=tuple(CompanionMatrix(a, b) for a, b in zip(phi1, phi2)))
-        inside += spectral_radius(build_p2(problem)) < 1.0
+        inside += spectral_radius(_p2(problem)) < 1.0
     mc_rate = inside / n_mc
     pooled = 0.5 * (sampler_rate + mc_rate)
     se_sampler = math.sqrt(pooled * (1.0 - pooled) * pooled / n_accept)

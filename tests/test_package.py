@@ -18,9 +18,8 @@ PUBLIC_NAMES = {
     "constraints": [
         "CompanionMatrix", "ConfigurationError", "ParameterDraw",
         "RejectionCapError", "StationarityProblem",
-        "StationarityResult", "build_p2", "companion_spectral_radius",
-        "is_stationary_ar2", "is_stationary_msar2",
-        "sample_constrained_priors", "sample_ordered", "spectral_radius",
+        "StationarityResult", "companion_spectral_radius", "is_stationary_msar2",
+        "sample_constrained_priors", "sample_ordered", "second_moment_map", "spectral_radius",
     ],
     "distributions": ["Dirichlet", "DistSpec", "Gamma", "InvGamma", "NormalPrec", "NormalVar"],
     "modelspec": ["Diagnostic", "ModelFormatError", "ModelSpec", "format_dist", "format_model",
